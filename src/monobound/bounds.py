@@ -18,6 +18,7 @@ import numpy as np
 from .classify import (
     DEFAULT_MONOTONE_TOL,
     DEFAULT_QDS_TOL,
+    _is_m_matrix,
     is_irreducibly_diag_dominant,
     is_m_matrix,
     is_quasi_doubly_stochastic,
@@ -84,7 +85,8 @@ class BouchonQuantities:
     """Ingredients of the graph-distance bound: the smallest diagonal
     magnitude, the row-wise diagonal-to-off-diagonal ratio eta, the largest
     relevant graph distance, and the resulting coefficient
-    1 / (eta^distance_max * distance_max * e)."""
+    1 / (eta^distance_max * distance_max * e), which is 0.0 when it
+    underflows and math.inf when eta is 0."""
 
     min_diag: float
     eta: float
@@ -139,12 +141,12 @@ def _formula_value(numerator: float, denominator: float) -> float:
     return max(numerator / denominator, 0.0)
 
 
-def _main_preconditions(a, tol: float) -> tuple[bool, str]:
+def _main_preconditions(a, inv: np.ndarray, tol: float) -> tuple[bool, str]:
     try:
         sdd = is_strictly_diag_dominant(a)
     except ZeroDiagonal:
         return False, "zero diagonal entry; dominance undefined"
-    if not is_m_matrix(a, tol):
+    if not _is_m_matrix(a, inv, tol):
         return False, "not a (nonsingular) M-matrix"
     if not sdd:
         return False, "M-matrix but not strictly diagonally dominant"
@@ -160,11 +162,15 @@ def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     for the uniform perturbation: it equals the exact threshold for E
     all-ones.
     """
-    stats = inverse_stats(a)
+    return _main_bound(a, inverse_stats(a), tol)
+
+
+def _main_bound(a, stats: InverseStats, tol: float) -> BoundResult:
+    """:func:`main_bound` from the precomputed statistics of ``a``."""
     value = _formula_value(
         stats.buffoni_number, 1.0 - stats.buffoni_number * stats.total
     )
-    ok, detail = _main_preconditions(a, tol)
+    ok, detail = _main_preconditions(a, stats.inv, tol)
     return BoundResult(value, "main", "componentwise", ok, detail)
 
 
@@ -174,11 +180,15 @@ def corollary_bound(
     """Specialized componentwise bound m / (1 - m * n) from the smallest
     inverse entry alone; for quasi-doubly-stochastic M-matrices it coincides
     with :func:`main_bound`."""
-    inv = inverse(a)
+    return _corollary_bound(a, inverse(a), tol, qds_tol)
+
+
+def _corollary_bound(a, inv: np.ndarray, tol: float, qds_tol: float) -> BoundResult:
+    """:func:`corollary_bound` from the precomputed inverse of ``a``."""
     n = inv.shape[0]
     min_entry = float(inv.min())
     value = _formula_value(min_entry, 1.0 - min_entry * n)
-    if not is_m_matrix(a, tol):
+    if not _is_m_matrix(a, inv, tol):
         ok, detail = False, "not a (nonsingular) M-matrix"
     elif not is_quasi_doubly_stochastic(a, qds_tol):
         ok, detail = False, "M-matrix but row/column sums differ from one"
@@ -189,14 +199,24 @@ def corollary_bound(
 
 def _eta(m: np.ndarray, zero_tol: float) -> float:
     """Row-wise |diagonal| over largest off-diagonal magnitude, maximized
-    over rows that have off-diagonal support."""
-    best = 0.0
-    for i in range(m.shape[0]):
-        off = np.abs(np.delete(m[i], i))
-        off = off[off > zero_tol]
-        if off.size:
-            best = max(best, abs(m[i, i]) / float(off.max()))
-    return best
+    over rows that have off-diagonal support (0.0 when no row has any)."""
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    row_max = off.max(axis=1)
+    supported = row_max > zero_tol
+    ratios = np.abs(np.diagonal(m))[supported] / row_max[supported]
+    return float(np.max(ratios, initial=0.0))
+
+
+def _bouchon_coefficient(eta: float, distance_max: int) -> float:
+    """1 / (eta^M * M * e) without raising: 0.0 once eta^M overflows (the
+    value would underflow anyway) and math.inf once the denominator
+    underflows to zero (eta = 0 included)."""
+    try:
+        denominator = eta**distance_max * distance_max * math.e
+    except OverflowError:
+        return 0.0
+    return 1.0 / denominator if denominator else math.inf
 
 
 def bouchon_quantities(a, e_pattern, zero_tol: float = 0.0) -> BouchonQuantities:
@@ -212,21 +232,21 @@ def bouchon_quantities(a, e_pattern, zero_tol: float = 0.0) -> BouchonQuantities
             f"pattern shape {e.shape} does not match matrix shape {m.shape}"
         )
     distance_max = bouchon_M(m, e, zero_tol)
-    eta = float(_eta(m, zero_tol))
+    eta = _eta(m, zero_tol)
     return BouchonQuantities(
         min_diag=float(np.min(np.abs(np.diagonal(m)))),
         eta=eta,
         distance_max=distance_max,
-        coefficient=1.0 / (eta**distance_max * distance_max * math.e),
+        coefficient=_bouchon_coefficient(eta, distance_max),
     )
 
 
-def _bouchon_preconditions(m, e, zero_tol: float, tol: float) -> tuple[bool, str]:
+def _bouchon_preconditions(m, e, zero_tol: float, m_matrix: bool) -> tuple[bool, str]:
     try:
         idd = is_irreducibly_diag_dominant(m, zero_tol)
     except ZeroDiagonal:
         return False, "zero diagonal entry; dominance undefined"
-    if not is_m_matrix(m, tol):
+    if not m_matrix:
         return False, "not a (nonsingular) M-matrix"
     if not idd:
         return False, "M-matrix but not irreducibly diagonally dominant"
@@ -248,8 +268,17 @@ def bouchon_bound(
     m = as_square_matrix(a)
     e = as_square_matrix(e_pattern)
     quantities = bouchon_quantities(m, e, zero_tol)
-    value = quantities.coefficient * quantities.min_diag
-    ok, detail = _bouchon_preconditions(m, e, zero_tol, tol)
+    return _bouchon_bound(m, e, quantities, zero_tol, is_m_matrix(m, tol))
+
+
+def _bouchon_bound(
+    m: np.ndarray, e: np.ndarray, quantities: BouchonQuantities, zero_tol: float, m_matrix: bool
+) -> BoundResult:
+    """:func:`bouchon_bound` from precomputed quantities and M-matrix test.
+    A zero diagonal gives the value 0.0, also when eta = 0 makes the
+    coefficient infinite."""
+    value = quantities.coefficient * quantities.min_diag if quantities.min_diag else 0.0
+    ok, detail = _bouchon_preconditions(m, e, zero_tol, m_matrix)
     return BoundResult(value, "bouchon", "inf-norm", ok, detail)
 
 

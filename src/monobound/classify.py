@@ -16,7 +16,7 @@ from .errors import (
     SingularMatrix,
     ZeroDiagonal,
 )
-from .graphdist import build_digraph, is_strongly_connected
+from .graphdist import _offdiag_mask, _strongly_connected
 from .linalg import as_square_matrix, determinant, inverse
 
 #: Default slack for inverse nonnegativity: entries down to
@@ -52,13 +52,17 @@ def is_monotone(a, tol: float = DEFAULT_MONOTONE_TOL) -> MonotoneCheck:
     attributed to roundoff and accepted; a singular matrix is reported as
     non-monotone with ``singular=True``.
     """
-    m = as_square_matrix(a)
     try:
-        inv = inverse(m)
+        inv = inverse(a)
     except SingularMatrix:
         return MonotoneCheck(monotone=False, location=None, value=None, singular=True)
+    return _monotone_check(inv, tol)
+
+
+def _monotone_check(inv: np.ndarray, tol: float) -> MonotoneCheck:
+    """Core of :func:`is_monotone` for an already computed inverse."""
     flat = int(np.argmin(inv))
-    location = (flat // m.shape[0], flat % m.shape[0])
+    location = (flat // inv.shape[0], flat % inv.shape[0])
     value = float(inv[location])
     slack = tol * float(np.max(np.abs(inv)))
     return MonotoneCheck(monotone=value >= -slack, location=location, value=value)
@@ -95,6 +99,11 @@ def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
     return is_z_matrix(a) and bool(is_monotone(a, tol))
 
 
+def _is_m_matrix(a, inv: np.ndarray, tol: float) -> bool:
+    """:func:`is_m_matrix` for a nonsingular ``a`` whose inverse is ``inv``."""
+    return is_z_matrix(a) and bool(_monotone_check(inv, tol))
+
+
 def is_strictly_diag_dominant(a) -> bool:
     """Every dominance ratio strictly below one."""
     return bool(np.all(sigma_vector(a) < 1.0))
@@ -102,7 +111,7 @@ def is_strictly_diag_dominant(a) -> bool:
 
 def is_irreducible(a, zero_tol: float = 0.0) -> bool:
     """True when the directed sparsity graph is strongly connected."""
-    return is_strongly_connected(build_digraph(a, zero_tol))
+    return _strongly_connected(_offdiag_mask(as_square_matrix(a), zero_tol))
 
 
 def is_irreducibly_diag_dominant(a, zero_tol: float = 0.0) -> bool:

@@ -21,15 +21,15 @@ import numpy as np
 from .bounds import (
     BoundResult,
     InverseStats,
-    bouchon_bound,
+    _bouchon_bound,
+    _corollary_bound,
+    _main_bound,
     bouchon_quantities,
-    corollary_bound,
     inverse_stats,
-    main_bound,
     tridiagonal_bound,
 )
 from .buffoni import bisection_vstar, buffoni_vstar
-from .classify import ClassificationReport, classify_matrix
+from .classify import DEFAULT_QDS_TOL, ClassificationReport, _is_m_matrix, classify_matrix
 from .errors import MatrixParseError, MonoboundError
 from .laplacian import (
     BlockLaplacianParams,
@@ -115,23 +115,25 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
+    # One inverse serves the statistics, every bound and every M-matrix test.
     matrix = read_matrix(args.matrix, args.format)
     stats = inverse_stats(matrix)
     results = []
     doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats)}
     if args.which in ("main", "all"):
-        results.append(main_bound(matrix, tol=args.tol))
+        results.append(_main_bound(matrix, stats, args.tol))
     if args.which in ("corollary", "all"):
-        results.append(corollary_bound(matrix, tol=args.tol))
+        results.append(_corollary_bound(matrix, stats.inv, args.tol, DEFAULT_QDS_TOL))
     if args.which in ("bouchon", "all"):
         pattern = _load_pattern(args.pattern, matrix, args.format)
         quantities = bouchon_quantities(matrix, pattern)
-        results.append(bouchon_bound(matrix, pattern, tol=args.tol))
+        m_matrix = _is_m_matrix(matrix, stats.inv, args.tol)
+        results.append(_bouchon_bound(matrix, pattern, quantities, 0.0, m_matrix))
         doc["bouchon_quantities"] = {
             "min_diag": float(quantities.min_diag),
             "eta": float(quantities.eta),
             "distance_max": int(quantities.distance_max),
-            "coefficient": float(quantities.coefficient),
+            "coefficient": _num(quantities.coefficient),
         }
     doc["bounds"] = [_bound_dict(r) for r in results]
     return doc

@@ -167,6 +167,35 @@ def test_bouchon_error_passthrough(sample_a):
         bouchon_bound(sample_a, np.eye(3))
 
 
+def test_bouchon_coefficient_underflows_to_zero():
+    # eta^M = 2^1099 overflows a float; the coefficient underflows to 0.0.
+    n = 1100
+    a = 2.0 * np.eye(n) - np.eye(n, k=1)
+    e = np.zeros((n, n))
+    e[0, n - 1] = 1.0
+    q = bouchon_quantities(a, e)
+    assert (q.eta, q.distance_max, q.coefficient) == (2.0, n - 1, 0.0)
+
+
+def test_eta_matches_row_loop():
+    rng = np.random.default_rng(37)
+    for zero_tol in (0.0, 1e-9):
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            a = np.where(rng.random((n, n)) < 0.4, rng.choice([1e-12, -0.5, 2.0], (n, n)), 0.0)
+            a[0, 1] = -1.0  # keep one supported pair reachable
+            np.fill_diagonal(a, rng.uniform(1.0, 3.0, n))
+            expected = 0.0
+            for i in range(n):
+                off = np.abs(np.delete(a[i], i))
+                off = off[off > zero_tol]
+                if off.size:
+                    expected = max(expected, abs(a[i, i]) / float(off.max()))
+            e = np.zeros((n, n))
+            e[0, 1] = 1.0
+            assert bouchon_quantities(a, e, zero_tol).eta == expected
+
+
 def test_componentwise_dominates_norm_bound_here(sample_a):
     assert main_bound(sample_a).value > bouchon_bound(sample_a, np.ones((3, 3))).value
 

@@ -1,11 +1,12 @@
 """End-to-end command line checks via main() with captured stdout."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from monobound import format_dense
+from monobound import format_dense, graphdist, linalg
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -67,6 +68,104 @@ def test_bounds_all(capsys, sample_file):
     assert by_method["bouchon"]["value"] == pytest.approx(0.0160947255512506, rel=1e-9)
     assert report["bouchon_quantities"]["eta"] == pytest.approx(4.0)
     assert report["bouchon_quantities"]["distance_max"] == 2
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` at every monobound module that binds it; return
+    the list that collects one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "monobound" or mod_name.startswith("monobound.")) and getattr(
+            mod, name, None
+        ) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+# `bounds` report of SAMPLE_A (dense file above, full pattern).
+SAMPLE_BOUNDS_REPORT = {
+    "schema": "monobound.report/1",
+    "command": "bounds",
+    "stats": {
+        "sigma_total": 3.0,
+        "buffoni_number": 0.07228915662650603,
+        "min_entry": {"location": [1, 2], "value": 0.07228915662650602},
+    },
+    "bouchon_quantities": {
+        "min_diag": 1.4,
+        "eta": 4.0,
+        "distance_max": 2,
+        "coefficient": 0.011496232536607573,
+    },
+    "bounds": [
+        {
+            "method": "main",
+            "value": 0.09230769230769233,
+            "bound_kind": "componentwise",
+            "preconditions_ok": True,
+            "preconditions": "strictly diagonally dominant M-matrix",
+        },
+        {
+            "method": "corollary",
+            "value": 0.09230769230769231,
+            "bound_kind": "componentwise",
+            "preconditions_ok": True,
+            "preconditions": "quasi-doubly-stochastic M-matrix",
+        },
+        {
+            "method": "bouchon",
+            "value": 0.0160947255512506,
+            "bound_kind": "inf-norm",
+            "preconditions_ok": True,
+            "preconditions": "irreducibly diagonally dominant M-matrix, "
+            "pattern row sums nonnegative",
+        },
+    ],
+}
+
+
+def _assert_same_report(got, want):
+    if isinstance(want, dict):
+        assert set(got) == set(want)
+        for key in want:
+            _assert_same_report(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_report(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12)
+    else:
+        assert got == want
+
+
+def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
+    factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
+    distance_scans = _count_calls(monkeypatch, graphdist, "bouchon_M")
+    report = run_json(capsys, ["bounds", sample_file, "--which", "all"])
+    assert len(factorizations) == 1
+    assert len(distance_scans) == 1
+    _assert_same_report(report, SAMPLE_BOUNDS_REPORT)
+
+
+def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):
+    path = tmp_path / "swap.txt"
+    path.write_text("2\n0 1\n1 0\n")
+    rc, out, err = run(capsys, ["bounds", str(path), "--which", "bouchon"])
+    assert rc == 0, err
+    report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    assert report["bouchon_quantities"]["eta"] == 0.0
+    assert report["bouchon_quantities"]["coefficient"] == "inf"
+    (bound,) = report["bounds"]
+    assert bound["value"] == 0.0
+    assert not bound["preconditions_ok"]
+    assert "zero diagonal" in bound["preconditions"]
 
 
 def test_bounds_single_method(capsys, sample_file):

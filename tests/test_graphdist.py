@@ -2,9 +2,12 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import SAMPLE_A
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monobound import (
     DimensionMismatch,
@@ -130,3 +133,61 @@ def test_irreducibility_matches_finite_distances():
             not math.isinf(d) for i in range(5) for d in distances_from(g, i)
         )
         assert is_strongly_connected(g) == all_finite
+
+
+def _bfs_bouchon_M(a, e, zero_tol):
+    """The per-row BFS formulation of bouchon_M, used as the reference:
+    returns M, or raises the same errors naming the first row-major pair."""
+    g = build_digraph(a, zero_tol)
+    support = [
+        (i, j) for i in range(g.n) for j in range(g.n) if i != j and abs(e[i, j]) > zero_tol
+    ]
+    if not support:
+        raise EmptyPerturbation("perturbation pattern has no off-diagonal nonzero entry")
+    worst = 0
+    dist = {}
+    for i, j in support:
+        if i not in dist:
+            dist[i] = distances_from(g, i)
+        if math.isinf(dist[i][j]):
+            raise UnreachablePair(
+                f"no directed path from node {i} to node {j} in the sparsity graph"
+            )
+        worst = max(worst, dist[i][j])
+    return worst
+
+
+def _outcome(fn, *args):
+    try:
+        return ("M", fn(*args))
+    except (EmptyPerturbation, UnreachablePair) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _sparse(n, values):
+    return hnp.arrays(np.float64, (n, n), elements=st.sampled_from(values), fill=st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    ring=st.booleans(),
+    zero_tol=st.sampled_from([0.0, 1e-9]),
+    data=st.data(),
+)
+def test_reachability_products_match_bfs(n, ring, zero_tol, data):
+    a = data.draw(_sparse(n, [0.5, -1.0, 1e-12]))
+    if ring:
+        # A directed ring makes the graph strongly connected with long distances.
+        a[np.arange(n), (np.arange(n) + 1) % n] = -1.0
+    e = data.draw(_sparse(n, [1.0, 1e-12]))
+    assert _outcome(bouchon_M, a, e, zero_tol) == _outcome(_bfs_bouchon_M, a, e, zero_tol)
+    g = build_digraph(a, zero_tol)
+    all_finite = all(not math.isinf(d) for i in range(n) for d in distances_from(g, i))
+    assert is_strongly_connected(g) == all_finite
+
+
+def test_max_distance_of_long_path():
+    n = 200
+    path = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    assert bouchon_M(path, np.ones((n, n))) == n - 1
