@@ -6,6 +6,7 @@ All bound routines report their hypotheses through
 :class:`BoundResult.preconditions_ok` instead of refusing to evaluate, so the
 formulas can be inspected on exploratory inputs; only structural
 impossibilities (wrong shape, singular matrix, broken bandwidth) raise.
+The numerical floors are fixed module constants.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .classify import (
     DEFAULT_MONOTONE_TOL,
-    DEFAULT_QDS_TOL,
-    _is_m_matrix,
+    _m_matrix_test,
     is_irreducibly_diag_dominant,
     is_m_matrix,
     is_quasi_doubly_stochastic,
@@ -26,7 +26,6 @@ from .classify import (
 )
 from .errors import (
     BandwidthViolation,
-    DimensionMismatch,
     IndexOutOfRange,
     NotTridiagonal,
     SingularMatrix,
@@ -37,8 +36,8 @@ from .errors import (
 from .graphdist import bouchon_M
 from .linalg import as_square_matrix, determinant, determinant_from_factors, inverse, lu_factor
 
-#: Row/column sums of the inverse with magnitude at or below this are
-#: rejected as zero marginals (the Buffoni-number ratios would blow up).
+#: Row/column sums of the inverse at or below this times the largest one in
+#: magnitude are rejected as zero marginals (the ratios would blow up).
 MARGINAL_FLOOR = 1e-14
 
 #: Formula denominators at or below this yield an infinite bound value.
@@ -99,12 +98,13 @@ def inverse_stats(a) -> InverseStats:
 
     Raises :class:`SingularMatrix` for singular input and
     :class:`ZeroMarginal` when a row or column sum of the inverse is
-    numerically zero.
+    numerically zero relative to the largest one.
     """
     inv = inverse(a)
     row_sums = inv.sum(axis=1)
     col_sums = inv.sum(axis=0)
-    if np.any(np.abs(row_sums) <= MARGINAL_FLOOR) or np.any(np.abs(col_sums) <= MARGINAL_FLOOR):
+    marginals = np.abs(np.concatenate((row_sums, col_sums)))
+    if np.any(marginals <= MARGINAL_FLOOR * marginals.max()):
         raise ZeroMarginal("a row or column sum of the inverse is numerically zero")
     ratios = inv / np.outer(row_sums, col_sums)
     flat = int(np.argmin(ratios))
@@ -141,12 +141,12 @@ def _formula_value(numerator: float, denominator: float) -> float:
     return max(numerator / denominator, 0.0)
 
 
-def _main_preconditions(a, inv: np.ndarray, tol: float) -> tuple[bool, str]:
+def _main_preconditions(a, m_matrix: bool) -> tuple[bool, str]:
     try:
         sdd = is_strictly_diag_dominant(a)
     except ZeroDiagonal:
         return False, "zero diagonal entry; dominance undefined"
-    if not _is_m_matrix(a, inv, tol):
+    if not m_matrix:
         return False, "not a (nonsingular) M-matrix"
     if not sdd:
         return False, "M-matrix but not strictly diagonally dominant"
@@ -162,48 +162,47 @@ def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     for the uniform perturbation: it equals the exact threshold for E
     all-ones.
     """
-    return _main_bound(a, inverse_stats(a), tol)
+    stats = inverse_stats(a)
+    return _main_bound(a, stats, _m_matrix_test(a, stats.inv, tol)[0])
 
 
-def _main_bound(a, stats: InverseStats, tol: float) -> BoundResult:
-    """:func:`main_bound` from the precomputed statistics of ``a``."""
+def _main_bound(a, stats: InverseStats, m_matrix: bool) -> BoundResult:
+    """:func:`main_bound` from precomputed statistics and M-matrix test."""
     value = _formula_value(
         stats.buffoni_number, 1.0 - stats.buffoni_number * stats.total
     )
-    ok, detail = _main_preconditions(a, stats.inv, tol)
+    ok, detail = _main_preconditions(a, m_matrix)
     return BoundResult(value, "main", "componentwise", ok, detail)
 
 
-def corollary_bound(
-    a, tol: float = DEFAULT_MONOTONE_TOL, qds_tol: float = DEFAULT_QDS_TOL
-) -> BoundResult:
+def corollary_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     """Specialized componentwise bound m / (1 - m * n) from the smallest
     inverse entry alone; for quasi-doubly-stochastic M-matrices it coincides
     with :func:`main_bound`."""
-    return _corollary_bound(a, inverse(a), tol, qds_tol)
+    m = as_square_matrix(a)
+    m_matrix, witness = _m_matrix_test(m, inverse(m), tol)
+    return _corollary_bound(m, witness.value, m_matrix)
 
 
-def _corollary_bound(a, inv: np.ndarray, tol: float, qds_tol: float) -> BoundResult:
-    """:func:`corollary_bound` from the precomputed inverse of ``a``."""
-    n = inv.shape[0]
-    min_entry = float(inv.min())
-    value = _formula_value(min_entry, 1.0 - min_entry * n)
-    if not _is_m_matrix(a, inv, tol):
+def _corollary_bound(m: np.ndarray, min_entry: float, m_matrix: bool) -> BoundResult:
+    """:func:`corollary_bound` from the smallest inverse entry and M-matrix test."""
+    value = _formula_value(min_entry, 1.0 - min_entry * m.shape[0])
+    if not m_matrix:
         ok, detail = False, "not a (nonsingular) M-matrix"
-    elif not is_quasi_doubly_stochastic(a, qds_tol):
+    elif not is_quasi_doubly_stochastic(m):
         ok, detail = False, "M-matrix but row/column sums differ from one"
     else:
         ok, detail = True, "quasi-doubly-stochastic M-matrix"
     return BoundResult(value, "corollary", "componentwise", ok, detail)
 
 
-def _eta(m: np.ndarray, zero_tol: float) -> float:
+def _eta(m: np.ndarray) -> float:
     """Row-wise |diagonal| over largest off-diagonal magnitude, maximized
     over rows that have off-diagonal support (0.0 when no row has any)."""
     off = np.abs(m)
     np.fill_diagonal(off, 0.0)
     row_max = off.max(axis=1)
-    supported = row_max > zero_tol
+    supported = row_max > 0.0
     ratios = np.abs(np.diagonal(m))[supported] / row_max[supported]
     return float(np.max(ratios, initial=0.0))
 
@@ -219,20 +218,15 @@ def _bouchon_coefficient(eta: float, distance_max: int) -> float:
     return 1.0 / denominator if denominator else math.inf
 
 
-def bouchon_quantities(a, e_pattern, zero_tol: float = 0.0) -> BouchonQuantities:
+def bouchon_quantities(a, e_pattern) -> BouchonQuantities:
     """Assemble the ingredients of the graph-distance bound.
 
-    Propagates :class:`EmptyPerturbation` / :class:`UnreachablePair` from the
-    distance computation.
+    Propagates :class:`DimensionMismatch`, :class:`EmptyPerturbation` and
+    :class:`UnreachablePair` from :func:`bouchon_M`.
     """
     m = as_square_matrix(a)
-    e = as_square_matrix(e_pattern)
-    if e.shape != m.shape:
-        raise DimensionMismatch(
-            f"pattern shape {e.shape} does not match matrix shape {m.shape}"
-        )
-    distance_max = bouchon_M(m, e, zero_tol)
-    eta = _eta(m, zero_tol)
+    distance_max = bouchon_M(m, e_pattern)
+    eta = _eta(m)
     return BouchonQuantities(
         min_diag=float(np.min(np.abs(np.diagonal(m)))),
         eta=eta,
@@ -241,9 +235,9 @@ def bouchon_quantities(a, e_pattern, zero_tol: float = 0.0) -> BouchonQuantities
     )
 
 
-def _bouchon_preconditions(m, e, zero_tol: float, m_matrix: bool) -> tuple[bool, str]:
+def _bouchon_preconditions(m, e, m_matrix: bool) -> tuple[bool, str]:
     try:
-        idd = is_irreducibly_diag_dominant(m, zero_tol)
+        idd = is_irreducibly_diag_dominant(m)
     except ZeroDiagonal:
         return False, "zero diagonal entry; dominance undefined"
     if not m_matrix:
@@ -255,9 +249,7 @@ def _bouchon_preconditions(m, e, zero_tol: float, m_matrix: bool) -> tuple[bool,
     return True, "irreducibly diagonally dominant M-matrix, pattern row sums nonnegative"
 
 
-def bouchon_bound(
-    a, e_pattern, zero_tol: float = 0.0, tol: float = DEFAULT_MONOTONE_TOL
-) -> BoundResult:
+def bouchon_bound(a, e_pattern, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     """Norm bound coefficient * min_i |a_ii| for perturbations supported on
     the given pattern.
 
@@ -267,19 +259,36 @@ def bouchon_bound(
     """
     m = as_square_matrix(a)
     e = as_square_matrix(e_pattern)
-    quantities = bouchon_quantities(m, e, zero_tol)
-    return _bouchon_bound(m, e, quantities, zero_tol, is_m_matrix(m, tol))
+    quantities = bouchon_quantities(m, e)
+    return _bouchon_bound(m, e, quantities, is_m_matrix(m, tol))
 
 
 def _bouchon_bound(
-    m: np.ndarray, e: np.ndarray, quantities: BouchonQuantities, zero_tol: float, m_matrix: bool
+    m: np.ndarray, e: np.ndarray, quantities: BouchonQuantities, m_matrix: bool
 ) -> BoundResult:
     """:func:`bouchon_bound` from precomputed quantities and M-matrix test.
     A zero diagonal gives the value 0.0, also when eta = 0 makes the
     coefficient infinite."""
     value = quantities.coefficient * quantities.min_diag if quantities.min_diag else 0.0
-    ok, detail = _bouchon_preconditions(m, e, zero_tol, m_matrix)
+    ok, detail = _bouchon_preconditions(m, e, m_matrix)
     return BoundResult(value, "bouchon", "inf-norm", ok, detail)
+
+
+def _chain_over_det(chain: np.ndarray, pivots: np.ndarray, sign: int) -> float:
+    """prod(chain) / det for a block with LU pivots ``pivots`` and row
+    permutation sign ``sign``, from logarithms when the product or the
+    determinant overflows or underflows."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        product = float(np.prod(chain))
+        det = float(sign * np.prod(pivots))
+        if 0.0 < abs(product) < math.inf and 0.0 < abs(det) < math.inf:
+            return product / det
+        log_value = float(np.sum(np.log(np.abs(chain))) - np.sum(np.log(np.abs(pivots))))
+    sign *= float(np.prod(np.sign(pivots)) * np.prod(np.sign(chain)))
+    try:
+        return sign * math.exp(log_value)
+    except OverflowError:
+        return sign * math.inf
 
 
 def tridiagonal_bound(a, l: int, k: int, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
@@ -310,13 +319,14 @@ def tridiagonal_bound(a, l: int, k: int, tol: float = DEFAULT_MONOTONE_TOL) -> B
         lo, hi = k + 1, l - 1
     block = m[lo : hi + 1, lo : hi + 1]
     try:
-        det = determinant_from_factors(lu_factor(block))
+        factors = lu_factor(block)
     except SingularMatrix:
         raise SingularSubmatrix(
             f"principal block {lo}..{hi} strictly between the perturbed entry "
             "is singular"
         ) from None
-    value = max(float(np.prod(chain)) / det, 0.0)
+    # 0.0 first, so that a zero chain entry gives 0.0, never -0.0.
+    value = max(0.0, _chain_over_det(chain, np.diagonal(factors.upper), factors.sign))
     ok = is_m_matrix(m, tol)
     detail = "tridiagonal M-matrix" if ok else "tridiagonal but not a (nonsingular) M-matrix"
     return BoundResult(value, "tridiagonal", "single-entry", ok, detail)

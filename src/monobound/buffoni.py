@@ -3,7 +3,8 @@ iteration, an independent bisection oracle over the monotonicity predicate,
 and the rank-one shortcut for the inverse under uniform perturbations.
 
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
-monotone A and an entrywise-nonnegative E.
+monotone A and an entrywise-nonnegative E.  The iteration and search settings
+are the fixed module constants below.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import InverseStats
-from .classify import DEFAULT_MONOTONE_TOL, is_monotone
+from .classify import DEFAULT_MONOTONE_TOL, _monotone_check, is_monotone
 from .errors import (
     DimensionMismatch,
     NegativePerturbation,
@@ -25,6 +26,12 @@ from .errors import (
     UpdateSingular,
 )
 from .linalg import as_square_matrix, inverse
+
+CONVERGENCE_RTOL = 1e-12
+MAX_ITER = 100
+V_CAP = 1e12
+W_FLOOR = 1e-14
+V_HI_INIT = 1.0
 
 
 class IterationStep(NamedTuple):
@@ -53,7 +60,8 @@ class BuffoniTrace:
         return len(self.iterates)
 
 
-def _validated_pair(a, e, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _validated_pair(a, e, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the pair and return (A, E, inverse of A); A must be monotone."""
     m = as_square_matrix(a)
     pert = as_square_matrix(e)
     if pert.shape != m.shape:
@@ -62,46 +70,41 @@ def _validated_pair(a, e, tol: float) -> tuple[np.ndarray, np.ndarray]:
         )
     if np.any(pert < 0.0):
         raise NegativePerturbation("perturbation must be entrywise nonnegative")
-    if not is_monotone(m, tol):
+    try:
+        inv = inverse(m)
+    except SingularMatrix:
+        raise NotMonotone("base matrix is not monotone") from None
+    if not _monotone_check(inv, tol):
         raise NotMonotone("base matrix is not monotone")
-    return m, pert
+    return m, pert, inv
 
 
-def buffoni_vstar(
-    a,
-    e,
-    *,
-    rtol: float = 1e-12,
-    max_iter: int = 100,
-    v_cap: float = 1e12,
-    w_floor: float = 1e-14,
-    tol: float = DEFAULT_MONOTONE_TOL,
-) -> BuffoniTrace:
+def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     """Threshold v* by the ratio iteration
     v <- v + min { z_ij / w_ij : w_ij > 0 }, with Z = (A + v E)^-1 and
     W = Z E Z (minus the derivative of Z in v).
 
-    Converges quadratically to a finite v* and diverges past ``v_cap`` when
-    A + v E is monotone for every v.  ``w_floor`` (relative to the largest W
-    entry) keeps roundoff-level denominators out of the minimum; convergence
-    is declared when an increment drops below ``rtol * max(v, 1)``.
+    Converges quadratically to a finite v* and diverges past :data:`V_CAP`
+    when A + v E is monotone for every v.  :data:`W_FLOOR` (relative to the
+    largest W entry) keeps roundoff-level denominators out of the minimum;
+    convergence is declared when an increment drops below
+    ``CONVERGENCE_RTOL * max(v, 1)``, and :data:`MAX_ITER` iterates at most.
+    A W entry below -1e-10 * max(max W, 1) raises :class:`NotMonotone`: a
+    loose ``tol`` let a non-monotone A through validation.
     """
-    m, pert = _validated_pair(a, e, tol)
+    m, pert, z = _validated_pair(a, e, tol)
     n = m.shape[0]
     steps: list[IterationStep] = []
     v = 0.0
-    for _ in range(max_iter):
-        try:
-            z = inverse(m + v * pert)
-        except SingularMatrix as exc:
-            raise SingularIterate(f"iterate at v={v!r} is singular: {exc}") from None
+    while True:
         w = z @ pert @ z
         w_max = float(w.max())
         # Z >= 0 and E >= 0 keep W nonnegative (up to roundoff) below v*.
-        assert float(w.min()) >= -1e-10 * max(w_max, 1.0), "negative ratio denominator"
+        if not float(w.min()) >= -1e-10 * max(w_max, 1.0):
+            raise NotMonotone(f"negative ratio denominator at v={v!r}: A + v E is not monotone")
         if w_max <= 0.0:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
-        usable = w > w_floor * w_max
+        usable = w > W_FLOOR * w_max
         ratios = np.full_like(w, math.inf)
         np.divide(z, w, out=ratios, where=usable)
         flat = int(np.argmin(ratios))
@@ -109,36 +112,34 @@ def buffoni_vstar(
         increment = max(float(ratios[pick]), 0.0)
         steps.append(IterationStep(v=v, increment=increment, argmin=pick))
         v += increment
-        if increment < rtol * max(v, 1.0):
+        if increment < CONVERGENCE_RTOL * max(v, 1.0):
             return BuffoniTrace(tuple(steps), "converged", v)
-        if v > v_cap:
+        if v > V_CAP:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
-    return BuffoniTrace(tuple(steps), "max_iterations", v)
+        if len(steps) == MAX_ITER:
+            return BuffoniTrace(tuple(steps), "max_iterations", v)
+        try:
+            z = inverse(m + v * pert)
+        except SingularMatrix as exc:
+            raise SingularIterate(f"iterate at v={v!r} is singular: {exc}") from None
 
 
-def bisection_vstar(
-    a,
-    e,
-    *,
-    abs_tol: float = 1e-9,
-    v_hi_init: float = 1.0,
-    v_cap: float = 1e12,
-    tol: float = DEFAULT_MONOTONE_TOL,
-) -> float:
-    """Independent threshold oracle: double an upper candidate until
-    monotonicity fails (returning math.inf once past ``v_cap``), then bisect
-    the predicate boundary down to width ``abs_tol``."""
-    m, pert = _validated_pair(a, e, tol)
+def bisection_vstar(a, e, *, abs_tol: float = 1e-9, tol: float = DEFAULT_MONOTONE_TOL) -> float:
+    """Independent threshold oracle: double an upper candidate from
+    :data:`V_HI_INIT` until monotonicity fails (returning math.inf once past
+    :data:`V_CAP`), then bisect the predicate boundary down to width
+    ``abs_tol``."""
+    m, pert, _ = _validated_pair(a, e, tol)
 
     def monotone_at(v: float) -> bool:
         return bool(is_monotone(m + v * pert, tol))
 
     lo = 0.0
-    hi = v_hi_init
+    hi = V_HI_INIT
     while monotone_at(hi):
         lo = hi
         hi *= 2.0
-        if hi > v_cap:
+        if hi > V_CAP:
             return math.inf
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)

@@ -1,6 +1,8 @@
 """Structural matrix predicates: sign pattern, diagonal dominance,
 irreducibility, monotonicity (nonnegative inverse), and two
-sufficient-condition certificates for monotonicity."""
+sufficient-condition certificates for monotonicity.  Irreducibility reads
+the sparsity graph of the exact nonzeros; both certificates test
+monotonicity with the default slack."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .errors import (
     SingularMatrix,
     ZeroDiagonal,
 )
-from .graphdist import _offdiag_mask, _strongly_connected
+from .graphdist import _offdiag_mask, _reach_powers
 from .linalg import as_square_matrix, determinant, inverse
 
 #: Default slack for inverse nonnegativity: entries down to
@@ -99,9 +101,10 @@ def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
     return is_z_matrix(a) and bool(is_monotone(a, tol))
 
 
-def _is_m_matrix(a, inv: np.ndarray, tol: float) -> bool:
-    """:func:`is_m_matrix` for a nonsingular ``a`` whose inverse is ``inv``."""
-    return is_z_matrix(a) and bool(_monotone_check(inv, tol))
+def _m_matrix_test(a, inv: np.ndarray, tol: float) -> tuple[bool, MonotoneCheck]:
+    """:func:`is_m_matrix` for ``a`` with inverse ``inv``, and the witness."""
+    witness = _monotone_check(inv, tol)
+    return is_z_matrix(a) and witness.monotone, witness
 
 
 def is_strictly_diag_dominant(a) -> bool:
@@ -109,18 +112,19 @@ def is_strictly_diag_dominant(a) -> bool:
     return bool(np.all(sigma_vector(a) < 1.0))
 
 
-def is_irreducible(a, zero_tol: float = 0.0) -> bool:
+def is_irreducible(a) -> bool:
     """True when the directed sparsity graph is strongly connected."""
-    return _strongly_connected(_offdiag_mask(as_square_matrix(a), zero_tol))
+    mask = _offdiag_mask(as_square_matrix(a))
+    return bool(_reach_powers(mask, np.ones_like(mask))[-1].all())
 
 
-def is_irreducibly_diag_dominant(a, zero_tol: float = 0.0) -> bool:
+def is_irreducibly_diag_dominant(a) -> bool:
     """Irreducible, all ratios at most one, at least one strictly below."""
     sigma = sigma_vector(a)
     return (
         bool(np.all(sigma <= 1.0))
         and len(strict_dominance_set(sigma)) > 0
-        and is_irreducible(a, zero_tol)
+        and is_irreducible(a)
     )
 
 
@@ -133,7 +137,7 @@ def is_quasi_doubly_stochastic(a, tol: float = DEFAULT_QDS_TOL) -> bool:
     )
 
 
-def verify_kuttler(a, m_cert, w, tol: float = DEFAULT_MONOTONE_TOL, pos_tol: float = 0.0) -> bool:
+def verify_kuttler(a, m_cert, w) -> bool:
     """Comparison certificate: a monotone M >= A together with w > 0 and
     A w entrywise strictly positive proves A monotone.
 
@@ -153,12 +157,12 @@ def verify_kuttler(a, m_cert, w, tol: float = DEFAULT_MONOTONE_TOL, pos_tol: flo
         return False
     if not np.all(cert >= base):
         return False
-    if not np.all(base @ wvec > pos_tol):
+    if not np.all(base @ wvec > 0.0):
         return False
-    return bool(is_monotone(cert, tol))
+    return bool(is_monotone(cert))
 
 
-def gavrilov_check(a, order: int, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
+def gavrilov_check(a, order: int) -> bool:
     """Symmetric certificate: positive definiteness plus monotonicity of
     every principal submatrix of the given order proves monotonicity.
 
@@ -178,7 +182,7 @@ def gavrilov_check(a, order: int, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
             return False
     for rows in combinations(range(n), order):
         idx = np.ix_(rows, rows)
-        if not is_monotone(m[idx], tol):
+        if not is_monotone(m[idx]):
             return False
     return True
 
@@ -199,12 +203,7 @@ class ClassificationReport:
     monotone_witness: MonotoneCheck
 
 
-def classify_matrix(
-    a,
-    tol: float = DEFAULT_MONOTONE_TOL,
-    zero_tol: float = 0.0,
-    qds_tol: float = DEFAULT_QDS_TOL,
-) -> ClassificationReport:
+def classify_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> ClassificationReport:
     """Evaluate every structure predicate on one matrix.
 
     Raises :class:`ZeroDiagonal` when dominance ratios are undefined.
@@ -214,7 +213,7 @@ def classify_matrix(
     strict = strict_dominance_set(sigma)
     witness = is_monotone(m, tol)
     z = is_z_matrix(m)
-    irreducible = is_irreducible(m, zero_tol)
+    irreducible = is_irreducible(m)
     return ClassificationReport(
         is_z_matrix=z,
         is_m_matrix=z and witness.monotone,
@@ -224,7 +223,7 @@ def classify_matrix(
             bool(np.all(sigma <= 1.0)) and len(strict) > 0 and irreducible
         ),
         is_irreducible=irreducible,
-        is_quasi_doubly_stochastic=is_quasi_doubly_stochastic(m, qds_tol),
+        is_quasi_doubly_stochastic=is_quasi_doubly_stochastic(m),
         sigma=sigma,
         strict_set=strict,
         monotone_witness=witness,

@@ -29,7 +29,13 @@ from .bounds import (
     tridiagonal_bound,
 )
 from .buffoni import bisection_vstar, buffoni_vstar
-from .classify import DEFAULT_QDS_TOL, ClassificationReport, _is_m_matrix, classify_matrix
+from .classify import (
+    DEFAULT_MONOTONE_TOL,
+    ClassificationReport,
+    MonotoneCheck,
+    _m_matrix_test,
+    classify_matrix,
+)
 from .errors import MatrixParseError, MonoboundError
 from .laplacian import (
     BlockLaplacianParams,
@@ -77,14 +83,11 @@ def _classification_dict(report: ClassificationReport) -> dict:
     }
 
 
-def _stats_dict(stats: InverseStats) -> dict:
-    flat = int(np.argmin(stats.inv))
-    n = stats.inv.shape[0]
-    loc = (flat // n, flat % n)
+def _stats_dict(stats: InverseStats, witness: MonotoneCheck) -> dict:
     return {
         "sigma_total": float(stats.total),
         "buffoni_number": float(stats.buffoni_number),
-        "min_entry": {"location": _loc(loc), "value": float(stats.inv[loc])},
+        "min_entry": {"location": _loc(witness.location), "value": witness.value},
     }
 
 
@@ -115,20 +118,20 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    # One inverse serves the statistics, every bound and every M-matrix test.
+    # One inverse and one M-matrix test serve the statistics and every bound.
     matrix = read_matrix(args.matrix, args.format)
     stats = inverse_stats(matrix)
+    m_matrix, witness = _m_matrix_test(matrix, stats.inv, args.tol)
     results = []
-    doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats)}
+    doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats, witness)}
     if args.which in ("main", "all"):
-        results.append(_main_bound(matrix, stats, args.tol))
+        results.append(_main_bound(matrix, stats, m_matrix))
     if args.which in ("corollary", "all"):
-        results.append(_corollary_bound(matrix, stats.inv, args.tol, DEFAULT_QDS_TOL))
+        results.append(_corollary_bound(matrix, witness.value, m_matrix))
     if args.which in ("bouchon", "all"):
         pattern = _load_pattern(args.pattern, matrix, args.format)
         quantities = bouchon_quantities(matrix, pattern)
-        m_matrix = _is_m_matrix(matrix, stats.inv, args.tol)
-        results.append(_bouchon_bound(matrix, pattern, quantities, 0.0, m_matrix))
+        results.append(_bouchon_bound(matrix, pattern, quantities, m_matrix))
         doc["bouchon_quantities"] = {
             "min_diag": float(quantities.min_diag),
             "eta": float(quantities.eta),
@@ -279,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        default=1e-10,
-        help="monotonicity tolerance, relative to the largest inverse entry (default 1e-10)",
+        default=DEFAULT_MONOTONE_TOL,
+        help="monotonicity tolerance, relative to the largest inverse entry (default %(default)s)",
     )
     common.add_argument(
         "--plain", action="store_true", help="human-readable output instead of JSON"
@@ -348,10 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
-    except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MatrixParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MonoboundError as exc:

@@ -1,13 +1,15 @@
-"""Directed sparsity graph of a matrix: adjacency, distances, strong
-connectivity, and the maximum graph distance across a perturbation's support
-(the quantity the graph-distance norm bound raises to a power).
+"""Directed sparsity graph of a matrix (an edge for every off-diagonal
+nonzero): adjacency, distances, strong connectivity, and the maximum graph
+distance across a perturbation's support (the quantity the graph-distance
+norm bound raises to a power).
 
-Connectivity and the maximum distance come from boolean reachability
-products: ``R_k``, the pairs joined by a path of at most 2^k edges, is
-``R_{k-1}`` squared as a float32 0/1 matmul thresholded at ``> 0`` (exact
-while n < 2^24), and binary lifting over the ``R_k`` gives exact distances.
-Cost is O(n^3 log M) in BLAS for a maximum distance M.  The per-source BFS
-(:func:`distances_from`) is kept as the reference the tests compare against.
+Connectivity (:func:`classify.is_irreducible`) and the maximum distance come
+from boolean reachability products: ``R_k``, the pairs joined by a path of
+at most 2^k edges, is ``R_{k-1}`` squared as a float32 0/1 matmul
+thresholded at ``> 0`` (exact while n < 2^24), and binary lifting over the
+``R_k`` gives exact distances.  Cost is O(n^3 log M) in BLAS for a maximum
+distance M.  The per-source BFS (:func:`distances_from`) is kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .linalg import as_square_matrix
 
 @dataclass(frozen=True)
 class MatrixDigraph:
-    """Edge i -> j for every off-diagonal entry with |a_ij| > zero_tol.
+    """Edge i -> j for every off-diagonal nonzero entry a_ij.
 
     ``adjacency[i]`` lists out-neighbors of i in ascending order, never
     including i itself.
@@ -34,16 +36,16 @@ class MatrixDigraph:
     adjacency: tuple[tuple[int, ...], ...]
 
 
-def _offdiag_mask(m: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Boolean mask of the off-diagonal entries with |m_ij| > zero_tol."""
-    mask = np.abs(m) > zero_tol
+def _offdiag_mask(m: np.ndarray) -> np.ndarray:
+    """Boolean mask of the off-diagonal nonzero entries."""
+    mask = m != 0
     np.fill_diagonal(mask, False)
     return mask
 
 
-def build_digraph(a, zero_tol: float = 0.0) -> MatrixDigraph:
+def build_digraph(a) -> MatrixDigraph:
     """Sparsity digraph of a square matrix; self-loops are dropped."""
-    mask = _offdiag_mask(as_square_matrix(a), zero_tol)
+    mask = _offdiag_mask(as_square_matrix(a))
     adjacency = tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
     return MatrixDigraph(n=mask.shape[0], adjacency=adjacency)
 
@@ -57,8 +59,8 @@ def distances_from(g: MatrixDigraph, source: int) -> list[int | float]:
     """BFS distances from ``source`` to every node; math.inf if unreachable.
 
     Reference implementation: :func:`bouchon_M` and
-    :func:`is_strongly_connected` use reachability products instead, and the
-    tests check them against this BFS.
+    :func:`classify.is_irreducible` use reachability products instead, and
+    the tests check them against this BFS.
     """
     _check_node(g, source)
     dist = [-1] * g.n
@@ -104,21 +106,7 @@ def _reach_powers(adjacency: np.ndarray, target: np.ndarray) -> list[np.ndarray]
     return powers
 
 
-def _strongly_connected(adjacency: np.ndarray) -> bool:
-    """True when the reachability closure of the boolean ``adjacency`` mask
-    is all true."""
-    return bool(_reach_powers(adjacency, np.ones_like(adjacency))[-1].all())
-
-
-def is_strongly_connected(g: MatrixDigraph) -> bool:
-    """True when every node reaches every other along directed edges."""
-    mask = np.zeros((g.n, g.n), dtype=bool)
-    for i, neighbors in enumerate(g.adjacency):
-        mask[i, list(neighbors)] = True
-    return _strongly_connected(mask)
-
-
-def bouchon_M(a, e_pattern, zero_tol: float = 0.0) -> int:
+def bouchon_M(a, e_pattern) -> int:
     """Largest sparsity-graph distance d(i, j) of ``a`` over the off-diagonal
     support of ``e_pattern``.
 
@@ -133,10 +121,10 @@ def bouchon_M(a, e_pattern, zero_tol: float = 0.0) -> int:
         raise DimensionMismatch(
             f"pattern shape {e.shape} does not match matrix shape {m.shape}"
         )
-    support = _offdiag_mask(e, zero_tol)
+    support = _offdiag_mask(e)
     if not support.any():
         raise EmptyPerturbation("perturbation pattern has no off-diagonal nonzero entry")
-    powers = _reach_powers(_offdiag_mask(m, zero_tol), support)
+    powers = _reach_powers(_offdiag_mask(m), support)
     missing = np.argwhere(support & ~powers[-1])
     if missing.size:
         i, j = (int(x) for x in missing[0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    SAMPLE_A,
     random_qds_m_matrix,
     random_sdd_m_matrix,
     random_tridiagonal_m_matrix,
@@ -80,6 +81,14 @@ def test_main_bound_sample(sample_a):
     assert res.value == pytest.approx(6.0 / 65.0, rel=1e-12)
     assert res.method == "main" and res.bound_kind == "componentwise"
     assert res.preconditions_ok
+
+
+@pytest.mark.parametrize("k", [-500, 500])
+def test_main_bound_scales_exactly(k):
+    # Powers of two scale the inverse without rounding, so the bound scales
+    # exactly; the marginal floor must scale with it.
+    scale = 2.0**k
+    assert main_bound(scale * SAMPLE_A).value == scale * main_bound(SAMPLE_A).value
 
 
 def test_main_bound_identity_is_zero():
@@ -179,21 +188,20 @@ def test_bouchon_coefficient_underflows_to_zero():
 
 def test_eta_matches_row_loop():
     rng = np.random.default_rng(37)
-    for zero_tol in (0.0, 1e-9):
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            a = np.where(rng.random((n, n)) < 0.4, rng.choice([1e-12, -0.5, 2.0], (n, n)), 0.0)
-            a[0, 1] = -1.0  # keep one supported pair reachable
-            np.fill_diagonal(a, rng.uniform(1.0, 3.0, n))
-            expected = 0.0
-            for i in range(n):
-                off = np.abs(np.delete(a[i], i))
-                off = off[off > zero_tol]
-                if off.size:
-                    expected = max(expected, abs(a[i, i]) / float(off.max()))
-            e = np.zeros((n, n))
-            e[0, 1] = 1.0
-            assert bouchon_quantities(a, e, zero_tol).eta == expected
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        a = np.where(rng.random((n, n)) < 0.4, rng.choice([1e-12, -0.5, 2.0], (n, n)), 0.0)
+        a[0, 1] = -1.0  # keep one supported pair reachable
+        np.fill_diagonal(a, rng.uniform(1.0, 3.0, n))
+        expected = 0.0
+        for i in range(n):
+            off = np.abs(np.delete(a[i], i))
+            off = off[off > 0.0]
+            if off.size:
+                expected = max(expected, abs(a[i, i]) / float(off.max()))
+        e = np.zeros((n, n))
+        e[0, 1] = 1.0
+        assert bouchon_quantities(a, e).eta == expected
 
 
 def test_componentwise_dominates_norm_bound_here(sample_a):
@@ -232,6 +240,21 @@ def test_tridiagonal_against_bisection_oracle():
         # threshold below the comparison tolerance
         oracle = bisection_vstar(a, e, abs_tol=1e-10 * h, tol=1e-13)
         assert h == pytest.approx(oracle, rel=1e-8)
+
+
+def test_tridiagonal_survives_overflowing_determinant():
+    # The chain product 10^999 and the block determinant both overflow.
+    n = 1000
+    a = 20.1 * np.eye(n) - 10.0 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    res = tridiagonal_bound(a, 0, n - 1)
+    assert res.preconditions_ok
+    assert res.value == pytest.approx(8.582437412178166e-44, rel=1e-9)  # from slogdet
+
+
+def test_tridiagonal_zero_chain_entry_gives_positive_zero():
+    # The chain for (2, 0) is (-0.0, 1.0): the value is 0, reported as 0.0.
+    a = np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    assert math.copysign(1.0, tridiagonal_bound(a, 2, 0).value) == 1.0
 
 
 def test_tridiagonal_errors():

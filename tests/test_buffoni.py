@@ -85,6 +85,14 @@ def test_validation_errors(sample_a):
         buffoni_vstar(sample_a, np.ones((2, 2)))
 
 
+def test_negative_ratio_denominator_is_not_monotone():
+    # tol=0.5 lets this non-monotone A through validation; W = Z E Z then
+    # has negative entries, which a monotone iterate cannot give.
+    a = np.array([[1.0, 0.3], [0.2, 1.0]])
+    with pytest.raises(NotMonotone):
+        buffoni_vstar(a, _unit(2, 0, 0), tol=0.5)
+
+
 def test_bisection_matches_iteration(sample_a):
     for e in [_unit(3, 0, 1), _unit(3, 0, 2), np.ones((3, 3))]:
         exact = buffoni_vstar(sample_a, e).vstar

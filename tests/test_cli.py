@@ -154,6 +154,14 @@ def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
     _assert_same_report(report, SAMPLE_BOUNDS_REPORT)
 
 
+def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_file, tmp_path):
+    pert = tmp_path / "ones.txt"
+    pert.write_text(format_dense(np.ones((3, 3))))
+    factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
+    report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "buffoni"])
+    assert len(factorizations) == report["vstar"]["buffoni"]["iterations"]
+
+
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):
     path = tmp_path / "swap.txt"
     path.write_text("2\n0 1\n1 0\n")
@@ -209,6 +217,17 @@ def test_vstar_negative_perturbation(capsys, sample_file, tmp_path):
     assert rc == 3
     assert out == ""
     assert "nonnegative" in err
+
+
+def test_vstar_loose_tol_non_monotone(capsys, tmp_path):
+    a = tmp_path / "a.txt"
+    a.write_text("2\n1 0.3\n0.2 1\n")
+    e = tmp_path / "e.txt"
+    e.write_text("2 1\n1 1 1.0\n")
+    rc, out, err = run(capsys, ["vstar", str(a), str(e), "--tol", "0.5"])
+    assert rc == 3
+    assert out == ""
+    assert "not monotone" in err
 
 
 def test_tridiag(capsys, tmp_path):

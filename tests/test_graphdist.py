@@ -18,7 +18,7 @@ from monobound import (
     build_digraph,
     distance,
     distances_from,
-    is_strongly_connected,
+    is_irreducible,
 )
 
 
@@ -32,10 +32,9 @@ def test_diagonal_matrix_has_no_edges():
     assert build_digraph(np.diag([1.0, 2.0, 3.0])).adjacency == ((), (), ())
 
 
-def test_zero_tol_prunes_small_entries():
+def test_small_entries_are_edges():
     a = np.array([[1.0, 1e-12], [0.5, 1.0]])
     assert build_digraph(a).adjacency == ((1,), (0,))
-    assert build_digraph(a, zero_tol=1e-9).adjacency == ((), (0,))
 
 
 def test_distances_in_sample():
@@ -61,9 +60,9 @@ def test_distance_node_out_of_range():
 
 
 def test_strong_connectivity():
-    assert is_strongly_connected(build_digraph(SAMPLE_A))
-    assert is_strongly_connected(build_digraph(np.ones((1, 1))))
-    assert not is_strongly_connected(build_digraph(np.array([[1.0, 1.0], [0.0, 1.0]])))
+    assert is_irreducible(SAMPLE_A)
+    assert is_irreducible(np.ones((1, 1)))
+    assert not is_irreducible(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_max_distance_examples(sample_a):
@@ -132,16 +131,14 @@ def test_irreducibility_matches_finite_distances():
         all_finite = all(
             not math.isinf(d) for i in range(5) for d in distances_from(g, i)
         )
-        assert is_strongly_connected(g) == all_finite
+        assert is_irreducible(m) == all_finite
 
 
-def _bfs_bouchon_M(a, e, zero_tol):
+def _bfs_bouchon_M(a, e):
     """The per-row BFS formulation of bouchon_M, used as the reference:
     returns M, or raises the same errors naming the first row-major pair."""
-    g = build_digraph(a, zero_tol)
-    support = [
-        (i, j) for i in range(g.n) for j in range(g.n) if i != j and abs(e[i, j]) > zero_tol
-    ]
+    g = build_digraph(a)
+    support = [(i, j) for i in range(g.n) for j in range(g.n) if i != j and e[i, j] != 0.0]
     if not support:
         raise EmptyPerturbation("perturbation pattern has no off-diagonal nonzero entry")
     worst = 0
@@ -169,22 +166,17 @@ def _sparse(n, values):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(1, 30),
-    ring=st.booleans(),
-    zero_tol=st.sampled_from([0.0, 1e-9]),
-    data=st.data(),
-)
-def test_reachability_products_match_bfs(n, ring, zero_tol, data):
+@given(n=st.integers(1, 30), ring=st.booleans(), data=st.data())
+def test_reachability_products_match_bfs(n, ring, data):
     a = data.draw(_sparse(n, [0.5, -1.0, 1e-12]))
     if ring:
         # A directed ring makes the graph strongly connected with long distances.
         a[np.arange(n), (np.arange(n) + 1) % n] = -1.0
     e = data.draw(_sparse(n, [1.0, 1e-12]))
-    assert _outcome(bouchon_M, a, e, zero_tol) == _outcome(_bfs_bouchon_M, a, e, zero_tol)
-    g = build_digraph(a, zero_tol)
+    assert _outcome(bouchon_M, a, e) == _outcome(_bfs_bouchon_M, a, e)
+    g = build_digraph(a)
     all_finite = all(not math.isinf(d) for i in range(n) for d in distances_from(g, i))
-    assert is_strongly_connected(g) == all_finite
+    assert is_irreducible(a) == all_finite
 
 
 def test_max_distance_of_long_path():
