@@ -89,8 +89,8 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     largest W entry) keeps roundoff-level denominators out of the minimum;
     convergence is declared when an increment drops below
     ``CONVERGENCE_RTOL * max(v, 1)``, and :data:`MAX_ITER` iterates at most.
-    A W entry below -1e-10 * max(max W, 1) raises :class:`NotMonotone`: a
-    loose ``tol`` let a non-monotone A through validation.
+    A W entry below -1e-10 * max W raises :class:`NotMonotone`: a loose
+    ``tol`` let a non-monotone A through validation.
     """
     m, pert, z = _validated_pair(a, e, tol)
     n = m.shape[0]
@@ -100,7 +100,7 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
         w = z @ pert @ z
         w_max = float(w.max())
         # Z >= 0 and E >= 0 keep W nonnegative (up to roundoff) below v*.
-        if not float(w.min()) >= -1e-10 * max(w_max, 1.0):
+        if not float(w.min()) >= -1e-10 * w_max:
             raise NotMonotone(f"negative ratio denominator at v={v!r}: A + v E is not monotone")
         if w_max <= 0.0:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)

@@ -6,6 +6,17 @@ largest-magnitude candidate and breaks ties by the lowest row index, so
 repeated calls on identical input give bit-identical results.  No iterative
 refinement is attempted; the intended scale is dense matrices up to a few
 hundred rows.
+
+The factorization and the triangular solves are right-looking blocked
+algorithms over panels of :data:`BLOCK` rows or columns: the Python loop
+runs per column or row only inside a panel, and one matrix product applies
+each panel to the rows and columns not yet reached.  A matrix of at most
+``BLOCK`` rows is a single panel.  Pivot choice and the singularity test are the unblocked
+ones, applied column by column; blocking changes only the order in which
+the updates are summed, so entries may differ from an unblocked elimination
+in the last bits.  numpy is the only dependency: LAPACK (through scipy)
+would add an import to every command and does not keep this pivot and
+threshold contract.
 """
 
 from __future__ import annotations
@@ -19,6 +30,9 @@ from .errors import DimensionMismatch, SingularMatrix, UpdateSingular
 #: Pivots (and rank-one denominators) at or below this, relative to the
 #: largest entry magnitude of the input, are treated as exactly singular.
 SINGULARITY_RTOL = 1e-14
+
+#: Panel width of the blocked factorization and solves.
+BLOCK = 32
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -52,6 +66,14 @@ class LUFactors:
         return len(self.perm)
 
 
+def _panels(n: int) -> list[tuple[int, int]]:
+    """Panel bounds (start, end), BLOCK wide except the first, which takes
+    the remainder: just above BLOCK rows, the row-by-row U12 loop of the
+    first panel is then short."""
+    edges = [0, *range((n - 1) % BLOCK + 1, n + 1, BLOCK)]
+    return list(zip(edges, edges[1:]))
+
+
 def _eliminate(m: np.ndarray, raise_on_singular: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """In-place elimination engine; returns (packed LU, perm, sign).
 
@@ -63,22 +85,28 @@ def _eliminate(m: np.ndarray, raise_on_singular: bool) -> tuple[np.ndarray, np.n
     threshold = SINGULARITY_RTOL * float(np.max(np.abs(m)))
     perm = np.arange(n)
     sign = 1
-    for col in range(n):
-        # np.argmax returns the first maximum: lowest row index wins ties.
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        pivot = m[piv, col]
-        if abs(pivot) <= threshold and raise_on_singular:
-            raise SingularMatrix(
-                f"pivot {abs(pivot):.3e} in column {col} is at or below the "
-                f"singularity threshold {threshold:.3e}"
-            )
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            perm[[col, piv]] = perm[[piv, col]]
-            sign = -sign
-        if pivot != 0.0:
-            m[col + 1 :, col] /= m[col, col]
-            m[col + 1 :, col + 1 :] -= np.outer(m[col + 1 :, col], m[col, col + 1 :])
+    for start, end in _panels(n):
+        for col in range(start, end):
+            # np.argmax returns the first maximum: lowest row index wins ties.
+            piv = col + int(np.argmax(np.abs(m[col:, col])))
+            pivot = m[piv, col]
+            if abs(pivot) <= threshold and raise_on_singular:
+                raise SingularMatrix(
+                    f"pivot {abs(pivot):.3e} in column {col} is at or below the "
+                    f"singularity threshold {threshold:.3e}"
+                )
+            if piv != col:
+                m[[col, piv]] = m[[piv, col]]
+                perm[[col, piv]] = perm[[piv, col]]
+                sign = -sign
+            if pivot != 0.0:
+                m[col + 1 :, col] /= m[col, col]
+                m[col + 1 :, col + 1 : end] -= np.outer(m[col + 1 :, col], m[col, col + 1 : end])
+        if end < n:
+            # U12 = L11^-1 A12 row by row, then one product updates the trailing block.
+            for row in range(start + 1, end):
+                m[row, end:] -= m[row, start:row] @ m[start:row, end:]
+            m[end:, end:] -= m[end:, start:end] @ m[start:end, end:]
     return m, perm, sign
 
 
@@ -109,12 +137,18 @@ def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
     if b.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has {b.shape[0]} rows, expected {n}")
     lower, upper = factors.lower, factors.upper
-    y = b[factors.perm].astype(float)
-    for i in range(1, n):
-        y[i] -= lower[i, :i] @ y[:i]
-    x = np.empty_like(y)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
+    x = b[factors.perm]
+    panels = _panels(n)
+    for start, end in panels:
+        for i in range(start + 1, end):
+            x[i] -= lower[i, start:i] @ x[start:i]
+        if end < n:
+            x[end:] -= lower[end:, start:end] @ x[start:end]
+    for start, end in reversed(panels):
+        for i in range(end - 1, start - 1, -1):
+            x[i] = (x[i] - upper[i, i + 1 : end] @ x[i + 1 : end]) / upper[i, i]
+        if start > 0:
+            x[:start] -= upper[:start, start:end] @ x[start:end]
     return x[:, 0] if single else x
 
 

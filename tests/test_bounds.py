@@ -1,6 +1,7 @@
 """Closed-form bound routines and their cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ def test_sigma_routes_agree():
     for _ in range(20):
         a = random_well_conditioned(rng, int(rng.integers(2, 9)))
         assert sigma_via_determinant(a) == pytest.approx(inverse_stats(a).total, rel=1e-8)
+
+
+def test_sigma_via_determinant_survives_overflowing_determinants():
+    # det(A) and det(A + J) of this 400x400 block both overflow.
+    n = 400
+    a = 20.1 * np.eye(n) - 10.0 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = sigma_via_determinant(a)
+    assert total == pytest.approx(inverse_stats(a).total, rel=1e-8)
 
 
 def test_main_bound_sample(sample_a):

@@ -93,6 +93,13 @@ def test_negative_ratio_denominator_is_not_monotone():
         buffoni_vstar(a, _unit(2, 0, 0), tol=0.5)
 
 
+def test_negative_ratio_denominator_floor_is_scale_free():
+    # Scaling A by 2^20 scales W by 2^-40; the verdict must not change.
+    a = 2.0**20 * np.array([[1.0, 0.3], [0.2, 1.0]])
+    with pytest.raises(NotMonotone):
+        buffoni_vstar(a, _unit(2, 0, 0), tol=0.5)
+
+
 def test_bisection_matches_iteration(sample_a):
     for e in [_unit(3, 0, 1), _unit(3, 0, 2), np.ones((3, 3))]:
         exact = buffoni_vstar(sample_a, e).vstar

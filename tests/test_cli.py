@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from monobound import format_dense, graphdist, linalg
+from monobound import classify, format_dense, graphdist, linalg
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -162,6 +162,19 @@ def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_fi
     assert len(factorizations) == report["vstar"]["buffoni"]["iterations"]
 
 
+def test_vstar_both_factors_once_per_iterate_and_probe(capsys, monkeypatch, sample_file, tmp_path):
+    # Buffoni iterates, bisection probes and the bisection base check each
+    # factor once; the base check inverts without calling is_monotone.
+    pert = tmp_path / "ones.txt"
+    pert.write_text(format_dense(np.ones((3, 3))))
+    factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
+    probes = _count_calls(monkeypatch, classify, "is_monotone")
+    report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
+    iterations = report["vstar"]["buffoni"]["iterations"]
+    assert (iterations, len(probes)) == (6, 31)
+    assert len(factorizations) == iterations + len(probes) + 1
+
+
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):
     path = tmp_path / "swap.txt"
     path.write_text("2\n0 1\n1 0\n")
@@ -222,6 +235,17 @@ def test_vstar_negative_perturbation(capsys, sample_file, tmp_path):
 def test_vstar_loose_tol_non_monotone(capsys, tmp_path):
     a = tmp_path / "a.txt"
     a.write_text("2\n1 0.3\n0.2 1\n")
+    e = tmp_path / "e.txt"
+    e.write_text("2 1\n1 1 1.0\n")
+    rc, out, err = run(capsys, ["vstar", str(a), str(e), "--tol", "0.5"])
+    assert rc == 3
+    assert out == ""
+    assert "not monotone" in err
+
+
+def test_vstar_loose_tol_non_monotone_scaled(capsys, tmp_path):
+    a = tmp_path / "a.txt"
+    a.write_text(format_dense(2.0**20 * np.array([[1.0, 0.3], [0.2, 1.0]])))
     e = tmp_path / "e.txt"
     e.write_text("2 1\n1 1 1.0\n")
     rc, out, err = run(capsys, ["vstar", str(a), str(e), "--tol", "0.5"])

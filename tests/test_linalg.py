@@ -10,6 +10,7 @@ from monobound import (
     UpdateSingular,
     determinant,
     inverse,
+    linalg,
     lu_factor,
     lu_solve,
     sherman_morrison,
@@ -144,3 +145,70 @@ def test_sherman_morrison_detects_singular_update():
 def test_sherman_morrison_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         sherman_morrison(np.eye(3), np.ones(2), np.ones(3), 1.0)
+
+
+def _unblocked_perm_sign(a):
+    """Reference: plain column-by-column elimination with the same pivot rule
+    (largest magnitude, lowest row index on ties) and no blocking."""
+    m = np.array(a, dtype=float)
+    n = m.shape[0]
+    perm = np.arange(n)
+    sign = 1
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(m[col:, col])))
+        if piv != col:
+            m[[col, piv]] = m[[piv, col]]
+            perm[[col, piv]] = perm[[piv, col]]
+            sign = -sign
+        if m[col, col] != 0.0:
+            m[col + 1 :, col] /= m[col, col]
+            m[col + 1 :, col + 1 :] -= np.outer(m[col + 1 :, col], m[col, col + 1 :])
+    return perm, sign
+
+
+BLOCK = linalg.BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 225])
+def test_blocked_factor_matches_unblocked_pivoting(n):
+    rng = np.random.default_rng(n)
+    # Gaussian entries swap rows in most columns; the diagonally dominant
+    # matrix in few or none.
+    for a in (rng.normal(size=(n, n)), random_well_conditioned(rng, n)):
+        f = lu_factor(a)
+        perm, sign = _unblocked_perm_sign(a)
+        assert np.array_equal(f.perm, perm)
+        assert f.sign == sign
+        scale = np.max(np.abs(a))
+        assert np.max(np.abs(a[f.perm] - f.lower @ f.upper)) <= 1e-13 * n * scale
+        expected = np.linalg.inv(a)
+        assert np.max(np.abs(inverse(a) - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def test_pivot_tie_in_second_panel_breaks_low():
+    # n = BLOCK + 4 factors as panels of 4 and BLOCK columns.  In
+    # [[I, C], [D, B]] with |D| <= 1/2 the first panel keeps its diagonal
+    # pivots and leaves the Schur complement S = B - D C for the second
+    # panel; S's first column ties rows 1 and 2 (magnitude 3).  Halves times
+    # small integers keep every step exact.
+    rng = np.random.default_rng(5)
+    s = np.diag(np.full(BLOCK, 8.0))
+    s[:4, 0] = [1.0, -3.0, 3.0, 2.0]
+    c = rng.integers(-2, 3, size=(4, BLOCK)).astype(float)
+    d = rng.integers(-1, 2, size=(BLOCK, 4)) / 2.0
+    a = np.block([[np.eye(4), c], [d, s + d @ c]])
+    f = lu_factor(a)
+    assert list(f.perm[:5]) == [0, 1, 2, 3, 5]
+    assert f.upper[4, 4] == -3.0
+    assert np.array_equal(f.perm, _unblocked_perm_sign(a)[0])
+
+
+def test_zero_pivot_in_later_panel():
+    # Panels of 3, BLOCK and BLOCK columns: column BLOCK + 3 opens the third.
+    # A zero column stays exactly zero through every update, so its pivot is 0.
+    n, col = 2 * BLOCK + 3, BLOCK + 3
+    a = random_well_conditioned(np.random.default_rng(3), n)
+    a[:, col] = 0.0
+    with pytest.raises(SingularMatrix, match=f"in column {col} "):
+        lu_factor(a)
+    assert determinant(a) == 0.0
