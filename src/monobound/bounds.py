@@ -34,7 +34,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .graphdist import bouchon_M
-from .linalg import _eliminate, as_square_matrix, determinant_from_factors, inverse, lu_factor
+from .linalg import _eliminate, as_square_matrix, inverse, lu_factor
 
 #: Row/column sums of the inverse at or below this times the largest one in
 #: magnitude are rejected as zero marginals (the ratios would blow up).
@@ -122,23 +122,18 @@ def inverse_stats(a) -> InverseStats:
 
 def sigma_via_determinant(a) -> float:
     """Total of the inverse entries from two determinants:
-    (det(A + J) - det(A)) / det(A), with J the all-ones matrix.
+    det(A + J) / det(A) - 1, with J the all-ones matrix.
 
-    When either determinant overflows or underflows, the quotient comes from
-    the logarithms of the two LU diagonals instead.  Raises
-    :class:`SingularMatrix` when ``a`` is singular; A + J may be singular
-    (the total is then exactly -1).
+    The quotient is taken by :func:`_chain_over_det` over the two LU
+    diagonals, so it survives determinants that overflow or underflow.
+    Raises :class:`SingularMatrix` when ``a`` is singular; A + J may be
+    singular (the total is then exactly -1).
     """
     m = as_square_matrix(a)
     factors = lu_factor(m)
     shifted, _, shifted_sign = _eliminate(m + 1.0, raise_on_singular=False)
-    pivots, shifted_pivots = np.diagonal(factors.upper), np.diagonal(shifted)
-    with np.errstate(over="ignore", under="ignore"):
-        det_a = determinant_from_factors(factors)
-        det_shifted = float(shifted_sign * np.prod(shifted_pivots))
-    if 0.0 < abs(det_a) < math.inf and 0.0 < abs(det_shifted) < math.inf:
-        return (det_shifted - det_a) / det_a
-    return _chain_over_det(shifted_pivots, pivots, factors.sign * shifted_sign) - 1.0
+    sign = factors.sign * shifted_sign
+    return _chain_over_det(np.diagonal(shifted), np.diagonal(factors.upper), sign) - 1.0
 
 
 def _formula_value(numerator: float, denominator: float) -> float:

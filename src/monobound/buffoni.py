@@ -79,21 +79,29 @@ def _validated_pair(a, e, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return m, pert, inv
 
 
+def _v_cap(m: np.ndarray, pert: np.ndarray) -> float:
+    """:data:`V_CAP` relative to max|A| / max|E|; math.inf for a zero E."""
+    e_max = float(pert.max())
+    return V_CAP * (float(np.abs(m).max()) / e_max) if e_max > 0.0 else math.inf
+
+
 def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     """Threshold v* by the ratio iteration
     v <- v + min { z_ij / w_ij : w_ij > 0 }, with Z = (A + v E)^-1 and
     W = Z E Z (minus the derivative of Z in v).
 
-    Converges quadratically to a finite v* and diverges past :data:`V_CAP`
-    when A + v E is monotone for every v.  :data:`W_FLOOR` (relative to the
-    largest W entry) keeps roundoff-level denominators out of the minimum;
-    convergence is declared when an increment drops below
-    ``CONVERGENCE_RTOL * max(v, 1)``, and :data:`MAX_ITER` iterates at most.
+    Converges quadratically to a finite v* and diverges past
+    ``V_CAP * max|A| / max|E|`` when A + v E is monotone for every v.
+    :data:`W_FLOOR` (relative to the largest W entry) keeps roundoff-level
+    denominators out of the minimum; convergence is declared when an
+    increment drops below ``CONVERGENCE_RTOL * max(v, 1)``, and
+    :data:`MAX_ITER` iterates at most.
     A W entry below -1e-10 * max W raises :class:`NotMonotone`: a loose
     ``tol`` let a non-monotone A through validation.
     """
     m, pert, z = _validated_pair(a, e, tol)
     n = m.shape[0]
+    cap = _v_cap(m, pert)
     steps: list[IterationStep] = []
     v = 0.0
     while True:
@@ -114,7 +122,7 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
         v += increment
         if increment < CONVERGENCE_RTOL * max(v, 1.0):
             return BuffoniTrace(tuple(steps), "converged", v)
-        if v > V_CAP:
+        if v > cap:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
         if len(steps) == MAX_ITER:
             return BuffoniTrace(tuple(steps), "max_iterations", v)
@@ -127,9 +135,13 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
 def bisection_vstar(a, e, *, abs_tol: float = 1e-9, tol: float = DEFAULT_MONOTONE_TOL) -> float:
     """Independent threshold oracle: double an upper candidate from
     :data:`V_HI_INIT` until monotonicity fails (returning math.inf once past
-    :data:`V_CAP`), then bisect the predicate boundary down to width
-    ``abs_tol``."""
+    ``V_CAP * max|A| / max|E|``, and at once for a zero E), then bisect the
+    predicate boundary until the bracket is at most ``abs_tol`` wide or no
+    float lies strictly between its ends."""
     m, pert, _ = _validated_pair(a, e, tol)
+    cap = _v_cap(m, pert)
+    if math.isinf(cap):
+        return math.inf
 
     def monotone_at(v: float) -> bool:
         return bool(is_monotone(m + v * pert, tol))
@@ -139,10 +151,12 @@ def bisection_vstar(a, e, *, abs_tol: float = 1e-9, tol: float = DEFAULT_MONOTON
     while monotone_at(hi):
         lo = hi
         hi *= 2.0
-        if hi > V_CAP:
+        if hi > cap:
             return math.inf
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if monotone_at(mid):
             lo = mid
         else:

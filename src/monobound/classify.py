@@ -25,7 +25,7 @@ from .linalg import as_square_matrix, determinant, inverse
 #: -tol * max|inverse entry| still count as nonnegative.
 DEFAULT_MONOTONE_TOL = 1e-10
 
-#: Default absolute slack on row/column sums for the doubly-stochastic test.
+#: Absolute slack on row/column sums for the doubly-stochastic test.
 DEFAULT_QDS_TOL = 1e-8
 
 
@@ -128,12 +128,12 @@ def is_irreducibly_diag_dominant(a) -> bool:
     )
 
 
-def is_quasi_doubly_stochastic(a, tol: float = DEFAULT_QDS_TOL) -> bool:
-    """All row sums and column sums within ``tol`` of one."""
+def is_quasi_doubly_stochastic(a) -> bool:
+    """All row sums and column sums within :data:`DEFAULT_QDS_TOL` of one."""
     m = as_square_matrix(a)
     return bool(
-        np.all(np.abs(m.sum(axis=1) - 1.0) <= tol)
-        and np.all(np.abs(m.sum(axis=0) - 1.0) <= tol)
+        np.all(np.abs(m.sum(axis=1) - 1.0) <= DEFAULT_QDS_TOL)
+        and np.all(np.abs(m.sum(axis=0) - 1.0) <= DEFAULT_QDS_TOL)
     )
 
 

@@ -101,14 +101,14 @@ def _bound_dict(result: BoundResult) -> dict:
     }
 
 
-def _load_pattern(source: str, matrix: np.ndarray, fmt: str) -> np.ndarray:
+def _load_pattern(source: str, matrix: np.ndarray) -> np.ndarray:
     if source == "full":
         return np.ones_like(matrix)
-    return read_matrix(source, fmt)
+    return read_matrix(source)
 
 
 def _cmd_classify(args) -> dict:
-    matrix = read_matrix(args.matrix, args.format)
+    matrix = read_matrix(args.matrix)
     report = classify_matrix(matrix, tol=args.tol)
     return {
         "schema": SCHEMA,
@@ -119,7 +119,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     # One inverse and one M-matrix test serve the statistics and every bound.
-    matrix = read_matrix(args.matrix, args.format)
+    matrix = read_matrix(args.matrix)
     stats = inverse_stats(matrix)
     m_matrix, witness = _m_matrix_test(matrix, stats.inv, args.tol)
     results = []
@@ -129,7 +129,7 @@ def _cmd_bounds(args) -> dict:
     if args.which in ("corollary", "all"):
         results.append(_corollary_bound(matrix, witness.value, m_matrix))
     if args.which in ("bouchon", "all"):
-        pattern = _load_pattern(args.pattern, matrix, args.format)
+        pattern = _load_pattern(args.pattern, matrix)
         quantities = bouchon_quantities(matrix, pattern)
         results.append(_bouchon_bound(matrix, pattern, quantities, m_matrix))
         doc["bouchon_quantities"] = {
@@ -143,8 +143,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_vstar(args) -> dict:
-    matrix = read_matrix(args.matrix, args.format)
-    pert = read_matrix(args.perturbation, args.format)
+    matrix = read_matrix(args.matrix)
+    pert = read_matrix(args.perturbation)
     section: dict = {"method": args.method}
     buffoni_value = bisect_value = None
     if args.method in ("buffoni", "both"):
@@ -170,7 +170,7 @@ def _cmd_vstar(args) -> dict:
 
 
 def _cmd_tridiag(args) -> dict:
-    matrix = read_matrix(args.matrix, args.format)
+    matrix = read_matrix(args.matrix)
     result = tridiagonal_bound(matrix, args.l - 1, args.k - 1, tol=args.tol)
     return {
         "schema": SCHEMA,
@@ -280,19 +280,14 @@ def render_plain(report: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
+        "--plain", action="store_true", help="human-readable output instead of JSON"
+    )
+    matrix = argparse.ArgumentParser(add_help=False, parents=[common])
+    matrix.add_argument(
         "--tol",
         type=float,
         default=DEFAULT_MONOTONE_TOL,
         help="monotonicity tolerance, relative to the largest inverse entry (default %(default)s)",
-    )
-    common.add_argument(
-        "--plain", action="store_true", help="human-readable output instead of JSON"
-    )
-    common.add_argument(
-        "--format",
-        choices=("dense", "coord"),
-        default="auto",
-        help="force the input file format (default: detect from the header line)",
     )
 
     parser = argparse.ArgumentParser(
@@ -301,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="structure flags and dominance ratios")
+    p = sub.add_parser("classify", parents=[matrix], help="structure flags and dominance ratios")
     p.add_argument("matrix", help="matrix file (dense or coordinate text)")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("bounds", parents=[common], help="closed-form perturbation bounds")
+    p = sub.add_parser("bounds", parents=[matrix], help="closed-form perturbation bounds")
     p.add_argument("matrix", help="matrix file")
     p.add_argument(
         "--pattern",
@@ -318,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("vstar", parents=[common], help="exact threshold for a fixed perturbation")
+    p = sub.add_parser("vstar", parents=[matrix], help="exact threshold for a fixed perturbation")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("perturbation", help="perturbation matrix file (entrywise nonnegative)")
     p.add_argument("--method", choices=("buffoni", "bisect", "both"), default="buffoni")
     p.set_defaults(handler=_cmd_vstar)
 
     p = sub.add_parser(
-        "tridiag", parents=[common], help="sharp single-entry bound for tridiagonal M-matrices"
+        "tridiag", parents=[matrix], help="sharp single-entry bound for tridiagonal M-matrices"
     )
     p.add_argument("matrix", help="tridiagonal matrix file")
     p.add_argument("l", type=int, help="row of the perturbed entry (1-based)")

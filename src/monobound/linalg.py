@@ -169,11 +169,6 @@ def determinant(a) -> float:
     return float(sign * np.prod(np.diagonal(packed)))
 
 
-def determinant_from_factors(factors: LUFactors) -> float:
-    """Determinant of the already-factored matrix."""
-    return float(factors.sign * np.prod(np.diagonal(factors.upper)))
-
-
 def sherman_morrison(ainv, u, v, b: float) -> np.ndarray:
     """Inverse of A + b * outer(u, v), given ``ainv`` = inverse of A.
 

@@ -17,37 +17,34 @@ import numpy as np
 from .errors import MatrixParseError
 
 
-def read_matrix(path, fmt: str = "auto") -> np.ndarray:
-    """Parse a matrix file; ``fmt`` is "dense", "coord", or "auto" (detected
-    from the token count of the first content line)."""
+def read_matrix(path) -> np.ndarray:
+    """Parse a matrix file; the header line decides the format."""
     text = Path(path).read_text(encoding="utf-8")
-    return parse_matrix(text, fmt=fmt, name=str(path))
+    return parse_matrix(text, name=str(path))
 
 
-def parse_matrix(text: str, fmt: str = "auto", name: str = "<input>") -> np.ndarray:
+def parse_matrix(text: str, name: str = "<input>") -> np.ndarray:
     """Parse dense or coordinate text into a float64 square matrix.
 
-    Errors raise :class:`MatrixParseError` with a "name:line:" prefix.
+    A one-token header ("n") means dense text, a two-token header
+    ("n nnz") coordinate text.  Errors raise :class:`MatrixParseError`
+    with a "name:line:" prefix.
     """
     lines = _content_lines(text)
     if not lines:
         raise MatrixParseError(f"{name}: no content lines")
-    if fmt == "auto":
-        width = len(lines[0][1])
-        if width == 1:
-            fmt = "dense"
-        elif width == 2:
-            fmt = "coord"
-        else:
-            raise MatrixParseError(
-                f"{name}:{lines[0][0]}: header must be 'n' (dense) or 'n nnz' "
-                f"(coordinate), got {width} tokens"
-            )
-    if fmt == "dense":
-        return _parse_dense(lines, name)
-    if fmt == "coord":
-        return _parse_coord(lines, name)
-    raise ValueError(f"unknown matrix format {fmt!r}")
+    lineno, header = lines[0]
+    if len(header) not in (1, 2):
+        raise MatrixParseError(
+            f"{name}:{lineno}: header must be 'n' (dense) or 'n nnz' "
+            f"(coordinate), got {len(header)} tokens"
+        )
+    n = _parse_int(header[0], lineno, name, "matrix dimension")
+    if n < 1:
+        raise MatrixParseError(f"{name}:{lineno}: dimension must be positive, got {n}")
+    if len(header) == 1:
+        return _parse_dense(n, lines[1:], name)
+    return _parse_coord(n, lines, name)
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -81,14 +78,7 @@ def _parse_real(token: str, lineno: int, name: str) -> float:
     return value
 
 
-def _parse_dense(lines, name: str) -> np.ndarray:
-    lineno, header = lines[0]
-    if len(header) != 1:
-        raise MatrixParseError(f"{name}:{lineno}: dense header must be a single token 'n'")
-    n = _parse_int(header[0], lineno, name, "matrix dimension")
-    if n < 1:
-        raise MatrixParseError(f"{name}:{lineno}: dimension must be positive, got {n}")
-    rows = lines[1:]
+def _parse_dense(n: int, rows, name: str) -> np.ndarray:
     if len(rows) < n:
         raise MatrixParseError(f"{name}: expected {n} matrix rows, found {len(rows)}")
     if len(rows) > n:
@@ -105,14 +95,9 @@ def _parse_dense(lines, name: str) -> np.ndarray:
     return out
 
 
-def _parse_coord(lines, name: str) -> np.ndarray:
+def _parse_coord(n: int, lines, name: str) -> np.ndarray:
     lineno, header = lines[0]
-    if len(header) != 2:
-        raise MatrixParseError(f"{name}:{lineno}: coordinate header must be 'n nnz'")
-    n = _parse_int(header[0], lineno, name, "matrix dimension")
     nnz = _parse_int(header[1], lineno, name, "entry count")
-    if n < 1:
-        raise MatrixParseError(f"{name}:{lineno}: dimension must be positive, got {n}")
     if nnz < 0:
         raise MatrixParseError(f"{name}:{lineno}: entry count must be nonnegative, got {nnz}")
     entries = lines[1:]

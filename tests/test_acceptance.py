@@ -281,7 +281,7 @@ def test_criterion_11_qds_closure():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         a = random_qds_m_matrix(rng, n)
-        if not is_quasi_doubly_stochastic(inverse(a), tol=1e-8):
+        if not is_quasi_doubly_stochastic(inverse(a)):
             inv_not_qds += 1
         c = corollary_bound(a)
         m = main_bound(a)

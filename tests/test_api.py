@@ -14,10 +14,8 @@ KEYWORD_PARAMETERS = {
     "corollary_bound": ["tol"],
     "is_m_matrix": ["tol"],
     "is_monotone": ["tol"],
-    "is_quasi_doubly_stochastic": ["tol"],
     "main_bound": ["tol"],
-    "parse_matrix": ["fmt", "name"],
-    "read_matrix": ["fmt"],
+    "parse_matrix": ["name"],
     "tridiagonal_bound": ["tol"],
 }
 

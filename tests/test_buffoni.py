@@ -14,9 +14,11 @@ from monobound import (
     NotMonotone,
     UpdateSingular,
     bisection_vstar,
+    buffoni,
     buffoni_vstar,
     inverse_stats,
     is_monotone,
+    main_bound,
     perturb_uniform_inverse,
 )
 
@@ -61,9 +63,26 @@ def test_diagonal_perturbation_never_breaks():
     assert trace.vstar == np.inf
 
 
-def test_zero_perturbation_is_infinite(sample_a):
+@pytest.fixture
+def probes(monkeypatch):
+    """Record each bisection probe; fail past 500 instead of running on."""
+    seen = []
+
+    def counted(m, tol):
+        seen.append(m)
+        if len(seen) > 500:
+            pytest.fail("bisection made more than 500 probes")
+        return is_monotone(m, tol)
+
+    monkeypatch.setattr(buffoni, "is_monotone", counted)
+    return seen
+
+
+def test_zero_perturbation_is_infinite(sample_a, probes):
     trace = buffoni_vstar(sample_a, np.zeros((3, 3)))
     assert trace.status == "diverged_infinite"
+    assert bisection_vstar(sample_a, np.zeros((3, 3))) == np.inf
+    assert not probes
 
 
 def test_identity_plus_ones_starts_broken():
@@ -108,6 +127,20 @@ def test_bisection_matches_iteration(sample_a):
 
 def test_bisection_detects_infinite():
     assert bisection_vstar(np.eye(3), np.eye(3)) == np.inf
+
+
+def test_bisection_stops_at_float_spacing(sample_a, probes):
+    # v* = 9.23e6, where adjacent floats are 1.9e-9 apart: wider than abs_tol.
+    a, e = 1e8 * sample_a, np.ones((3, 3))
+    assert bisection_vstar(a, e) == pytest.approx(buffoni_vstar(a, e).vstar, rel=1e-8)
+
+
+def test_cap_scales_with_the_pair(sample_a, probes):
+    # v* = 3.25e12 lies above V_CAP; the cap is relative to max|A| / max|E|.
+    a, e = 2.0**45 * sample_a, np.ones((3, 3))
+    exact = main_bound(a).value  # tight for E all-ones
+    assert buffoni_vstar(a, e).vstar == pytest.approx(exact, rel=1e-12)
+    assert bisection_vstar(a, e) == pytest.approx(exact, rel=1e-8)
 
 
 def test_threshold_separates_monotone_regime(sample_a):

@@ -98,7 +98,6 @@ def test_irreducible(sample_a):
 def test_quasi_doubly_stochastic(sample_a):
     assert is_quasi_doubly_stochastic(sample_a)
     assert not is_quasi_doubly_stochastic(1.1 * np.eye(2))
-    assert is_quasi_doubly_stochastic(1.1 * np.eye(2), tol=0.2)
 
 
 def test_sdd_z_with_positive_diagonal_is_m_matrix():
@@ -114,8 +113,9 @@ def test_qds_inverse_closure():
     rng = np.random.default_rng(41)
     for _ in range(25):
         a = random_qds_matrix(rng, int(rng.integers(2, 9)))
-        assert is_quasi_doubly_stochastic(a, tol=1e-10)
-        assert is_quasi_doubly_stochastic(inverse(a), tol=1e-8)
+        assert np.all(np.abs(a.sum(axis=0) - 1.0) <= 1e-10)
+        assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-10)
+        assert is_quasi_doubly_stochastic(inverse(a))
 
 
 def test_kuttler_self_certificate(sample_a):

@@ -334,10 +334,14 @@ def test_plain_rendering(capsys, sample_file):
     assert "bounds report" in out
 
 
-def test_format_override(capsys, tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("2 2\n1 1 2.0\n2 2 3.0\n")
-    rc, _, _ = run(capsys, ["classify", str(path), "--format", "dense"])
-    assert rc == 2
-    report = run_json(capsys, ["classify", str(path), "--format", "coord"])
-    assert report["classification"]["is_m_matrix"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "m.txt", "--format", "dense"],
+        ["laplacian", "--s", "1", "--t", "2", "--d", "0.5", "--tol", "1e-8"],
+    ],
+)
+def test_flags_that_change_no_result_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

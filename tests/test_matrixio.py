@@ -1,7 +1,10 @@
 """Text readers/writers for dense and coordinate matrix files."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monobound import MatrixParseError, format_dense, parse_matrix, read_matrix, write_dense
 
@@ -23,14 +26,14 @@ COORD_SAMPLE = """\
 
 
 def test_parse_dense():
-    a = parse_matrix(DENSE_SAMPLE, fmt="dense")
+    a = parse_matrix(DENSE_SAMPLE)
     assert a.shape == (3, 3)
     assert a[0, 2] == -0.6
     assert a[2, 1] == -0.4
 
 
 def test_parse_coord():
-    a = parse_matrix(COORD_SAMPLE, fmt="coord")
+    a = parse_matrix(COORD_SAMPLE)
     expected = np.array([[2.0, 0.0, -0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
     assert np.array_equal(a, expected)
 
@@ -47,37 +50,37 @@ def test_blank_lines_and_comments_ignored():
 
 def test_dense_row_count_mismatch():
     with pytest.raises(MatrixParseError, match="expected 3"):
-        parse_matrix("3\n1 0 0\n0 1 0\n", fmt="dense")
+        parse_matrix("3\n1 0 0\n0 1 0\n")
     with pytest.raises(MatrixParseError, match="unexpected content"):
-        parse_matrix("2\n1 0\n0 1\n0 0\n", fmt="dense")
+        parse_matrix("2\n1 0\n0 1\n0 0\n")
 
 
 def test_dense_row_width_mismatch():
     with pytest.raises(MatrixParseError, match="expected 3"):
-        parse_matrix("3\n1 0\n0 1 0\n0 0 1\n", fmt="dense")
+        parse_matrix("3\n1 0\n0 1 0\n0 0 1\n")
 
 
 def test_bad_tokens_report_line_numbers():
     with pytest.raises(MatrixParseError, match=":2:"):
-        parse_matrix("2\n1 oops\n0 1\n", fmt="dense")
+        parse_matrix("2\n1 oops\n0 1\n")
     with pytest.raises(MatrixParseError, match=":1:"):
-        parse_matrix("x\n1 0\n0 1\n", fmt="dense")
+        parse_matrix("x\n1 0\n0 1\n")
 
 
 def test_nonfinite_rejected():
     with pytest.raises(MatrixParseError, match="finite"):
-        parse_matrix("2\n1 nan\n0 1\n", fmt="dense")
+        parse_matrix("2\n1 nan\n0 1\n")
 
 
 def test_coord_errors():
     with pytest.raises(MatrixParseError, match="duplicate"):
-        parse_matrix("2 2\n1 1 1.0\n1 1 2.0\n", fmt="coord")
+        parse_matrix("2 2\n1 1 1.0\n1 1 2.0\n")
     with pytest.raises(MatrixParseError, match="outside"):
-        parse_matrix("2 1\n3 1 1.0\n", fmt="coord")
+        parse_matrix("2 1\n3 1 1.0\n")
     with pytest.raises(MatrixParseError, match="'i j value'"):
-        parse_matrix("2 1\n1 1\n", fmt="coord")
+        parse_matrix("2 1\n1 1\n")
     with pytest.raises(MatrixParseError, match="expected 2 entry lines"):
-        parse_matrix("2 2\n1 1 1.0\n", fmt="coord")
+        parse_matrix("2 2\n1 1 1.0\n")
 
 
 def test_empty_input():
@@ -87,7 +90,7 @@ def test_empty_input():
 
 def test_header_shape_detection():
     with pytest.raises(MatrixParseError, match="header"):
-        parse_matrix("2 3 4\n", fmt="coord")
+        parse_matrix("2 3 4\n")
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -106,10 +109,21 @@ def test_format_dense_layout():
     assert text.endswith("\n")
 
 
-def test_read_matrix_forced_format(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("2 2\n1 1 2.0\n2 2 3.0\n")
-    coord = read_matrix(path, fmt="coord")
-    assert np.array_equal(coord, np.diag([2.0, 3.0]))
-    with pytest.raises(MatrixParseError):
-        read_matrix(path, fmt="dense")
+def _format_coord(a):
+    """Coordinate text listing every entry of ``a`` other than +0.0."""
+    rows, cols = np.nonzero((a != 0.0) | np.signbit(a))
+    lines = [f"{a.shape[0]} {len(rows)}"]
+    lines += [f"{i + 1} {j + 1} {a[i, j]:.17g}" for i, j in zip(rows, cols)]
+    return "\n".join(lines) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=FINITE)))
+def test_header_decides_format_and_round_trips_bit_exactly(a):
+    for text in (format_dense(a), _format_coord(a)):
+        b = parse_matrix(text)
+        assert b.shape == a.shape
+        assert np.array_equal(b.view(np.uint64), a.view(np.uint64))
