@@ -32,6 +32,7 @@ MAX_ITER = 100
 V_CAP = 1e12
 W_FLOOR = 1e-14
 V_HI_INIT = 1.0
+BISECT_ABS_TOL = 1e-9
 
 
 class IterationStep(NamedTuple):
@@ -94,7 +95,8 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     ``V_CAP * max|A| / max|E|`` when A + v E is monotone for every v.
     :data:`W_FLOOR` (relative to the largest W entry) keeps roundoff-level
     denominators out of the minimum; convergence is declared when an
-    increment drops below ``CONVERGENCE_RTOL * max(v, 1)``, and
+    increment is at most ``CONVERGENCE_RTOL * v`` (relative, so the search
+    scales with the pair; a zero increment at v = 0 converges), and
     :data:`MAX_ITER` iterates at most.
     A W entry below -1e-10 * max W raises :class:`NotMonotone`: a loose
     ``tol`` let a non-monotone A through validation.
@@ -120,7 +122,7 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
         increment = max(float(ratios[pick]), 0.0)
         steps.append(IterationStep(v=v, increment=increment, argmin=pick))
         v += increment
-        if increment < CONVERGENCE_RTOL * max(v, 1.0):
+        if increment <= CONVERGENCE_RTOL * v:
             return BuffoniTrace(tuple(steps), "converged", v)
         if v > cap:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
@@ -132,13 +134,32 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
             raise SingularIterate(f"iterate at v={v!r} is singular: {exc}") from None
 
 
-def bisection_vstar(a, e, *, abs_tol: float = 1e-9, tol: float = DEFAULT_MONOTONE_TOL) -> float:
+def bisection_vstar(
+    a, e, *, abs_tol: float = BISECT_ABS_TOL, tol: float = DEFAULT_MONOTONE_TOL
+) -> float:
     """Independent threshold oracle: double an upper candidate from
     :data:`V_HI_INIT` until monotonicity fails (returning math.inf once past
     ``V_CAP * max|A| / max|E|``, and at once for a zero E), then bisect the
     predicate boundary until the bracket is at most ``abs_tol`` wide or no
     float lies strictly between its ends."""
     m, pert, _ = _validated_pair(a, e, tol)
+    return _bisect_from(m, pert, 0.0, abs_tol, tol)
+
+
+def _bisect_from(
+    m: np.ndarray, pert: np.ndarray, seed: float, abs_tol: float, tol: float
+) -> float:
+    """The search of :func:`bisection_vstar` on a pair that already passed
+    :func:`_validated_pair`, with its bracket grown around ``seed``.
+
+    A finite positive ``seed`` (the iteration's v*) is probed, then stepped
+    from by ``abs_tol``, doubling the step until the predicate changes:
+    upward when A + seed E is monotone, downward (at most to 0, where A was
+    validated) when it is not.  A seed of 0 or math.inf takes the unseeded
+    expansion from :data:`V_HI_INIT`.  Either way the predicate alone
+    confirms both ends of the final bracket, so a poor seed costs probes,
+    not correctness.
+    """
     cap = _v_cap(m, pert)
     if math.isinf(cap):
         return math.inf
@@ -146,13 +167,24 @@ def bisection_vstar(a, e, *, abs_tol: float = 1e-9, tol: float = DEFAULT_MONOTON
     def monotone_at(v: float) -> bool:
         return bool(is_monotone(m + v * pert, tol))
 
-    lo = 0.0
-    hi = V_HI_INIT
-    while monotone_at(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            return math.inf
+    if 0.0 < seed < math.inf:
+        step = abs_tol
+    else:
+        seed, step = 0.0, V_HI_INIT
+    if seed == 0.0 or monotone_at(seed):
+        lo, hi = seed, seed + step
+        while monotone_at(hi):
+            lo = hi
+            step *= 2.0
+            hi = seed + step
+            if hi > cap:
+                return math.inf
+    else:
+        lo, hi = max(seed - step, 0.0), seed
+        while lo > 0.0 and not monotone_at(lo):
+            hi = lo
+            step *= 2.0
+            lo = max(seed - step, 0.0)
     while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

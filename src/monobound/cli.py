@@ -12,6 +12,7 @@ bad entry position, invalid family parameters).  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from .bounds import (
     inverse_stats,
     tridiagonal_bound,
 )
-from .buffoni import bisection_vstar, buffoni_vstar
+from .buffoni import BISECT_ABS_TOL, _bisect_from, bisection_vstar, buffoni_vstar
 from .classify import (
     DEFAULT_MONOTONE_TOL,
     ClassificationReport,
@@ -156,7 +157,11 @@ def _cmd_vstar(args) -> dict:
             "iterations": trace.iteration_count,
         }
     if args.method in ("bisect", "both"):
-        bisect_value = bisection_vstar(matrix, pert, tol=args.tol)
+        if buffoni_value is None:
+            bisect_value = bisection_vstar(matrix, pert, tol=args.tol)
+        else:
+            # buffoni_vstar validated the pair; its value seeds the bracket.
+            bisect_value = _bisect_from(matrix, pert, buffoni_value, BISECT_ABS_TOL, args.tol)
         section["bisection"] = {
             "value": _num(bisect_value),
             "status": "infinite" if math.isinf(bisect_value) else "finite",
@@ -342,8 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except (MatrixParseError, OSError) as exc:

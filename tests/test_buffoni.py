@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    SAMPLE_A,
     SAMPLE_A_VSTAR_UNIFORM,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
@@ -21,6 +22,7 @@ from monobound import (
     main_bound,
     perturb_uniform_inverse,
 )
+from monobound.classify import DEFAULT_MONOTONE_TOL
 
 
 def _unit(n, i, j):
@@ -65,23 +67,27 @@ def test_diagonal_perturbation_never_breaks():
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Record each bisection probe; fail past 500 instead of running on."""
+    """Record each bisection probe as (matrix, verdict); fail past 500
+    instead of running on."""
     seen = []
 
     def counted(m, tol):
-        seen.append(m)
+        verdict = is_monotone(m, tol)
+        seen.append((m, verdict))
         if len(seen) > 500:
             pytest.fail("bisection made more than 500 probes")
-        return is_monotone(m, tol)
+        return verdict
 
     monkeypatch.setattr(buffoni, "is_monotone", counted)
     return seen
 
 
 def test_zero_perturbation_is_infinite(sample_a, probes):
-    trace = buffoni_vstar(sample_a, np.zeros((3, 3)))
+    zero = np.zeros((3, 3))
+    trace = buffoni_vstar(sample_a, zero)
     assert trace.status == "diverged_infinite"
-    assert bisection_vstar(sample_a, np.zeros((3, 3))) == np.inf
+    assert bisection_vstar(sample_a, zero) == np.inf
+    assert buffoni._bisect_from(sample_a, zero, np.inf, 1e-9, DEFAULT_MONOTONE_TOL) == np.inf
     assert not probes
 
 
@@ -141,6 +147,62 @@ def test_cap_scales_with_the_pair(sample_a, probes):
     exact = main_bound(a).value  # tight for E all-ones
     assert buffoni_vstar(a, e).vstar == pytest.approx(exact, rel=1e-12)
     assert bisection_vstar(a, e) == pytest.approx(exact, rel=1e-8)
+
+
+def test_convergence_is_relative(sample_a):
+    # Below v* = 1 an absolute floor stopped this after one step at 7.2289e-14.
+    trace = buffoni_vstar(1e-12 * sample_a, np.ones((3, 3)))
+    assert trace.status == "converged"
+    assert trace.vstar == pytest.approx(1e-12 * SAMPLE_A_VSTAR_UNIFORM, rel=1e-12, abs=0.0)
+
+
+def test_iteration_scales_with_the_pair():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        a = random_sdd_m_matrix(rng, n)
+        e = random_nonneg_perturbation(rng, n)
+        assert buffoni_vstar(2.0**-30 * a, e).vstar == 2.0**-30 * buffoni_vstar(a, e).vstar
+
+
+def _pairs():
+    rng = np.random.default_rng(97)
+    pairs = [(SAMPLE_A, np.ones((3, 3))), (SAMPLE_A, _unit(3, 0, 1))]
+    for n in (4, 9):
+        pairs.append((random_sdd_m_matrix(rng, n), random_nonneg_perturbation(rng, n)))
+    return pairs
+
+
+@pytest.mark.parametrize("pair", _pairs())
+@pytest.mark.parametrize("seed", ["exact", "just_above", "half", "double", "inf"])
+def test_seeded_bisection_brackets_the_threshold(pair, seed, probes):
+    a, e = pair
+    abs_tol = buffoni.BISECT_ABS_TOL
+    exact = buffoni_vstar(a, e).vstar
+    unseeded = bisection_vstar(a, e)
+    start = {
+        "exact": exact,
+        "just_above": exact + 4 * abs_tol,
+        "half": 0.5 * exact,
+        "double": 2.0 * exact,
+        "inf": np.inf,
+    }[seed]
+    if seed == "just_above":
+        assert not is_monotone(a + start * e)  # the search has to step down
+    probes.clear()
+    got = buffoni._bisect_from(a, e, start, abs_tol, DEFAULT_MONOTONE_TOL)
+    assert abs(got - unseeded) <= abs_tol
+    # Recover each probe's v; the bracket ends are the last probes each way.
+    k = np.unravel_index(np.argmax(e), e.shape)
+    probed = [((m - a)[k] / e[k], verdict) for m, verdict in probes]
+    lo = max([v for v, ok in probed if ok], default=0.0)
+    hi = min(v for v, ok in probed if not ok)
+    assert all(v <= lo for v, ok in probed if ok)
+    assert hi - lo <= abs_tol * (1 + 1e-6)
+    assert is_monotone(a + lo * e) and not is_monotone(a + hi * e)
+    assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15)
+    if seed in ("exact", "just_above"):
+        assert len(probes) <= 5  # a good seed saves the unseeded search's 31 probes
 
 
 def test_threshold_separates_monotone_regime(sample_a):

@@ -5,8 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import random_nonneg_perturbation, random_sdd_m_matrix
 
-from monobound import classify, format_dense, graphdist, linalg
+from monobound import bisection_vstar, classify, cli, format_dense, graphdist, linalg
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -163,16 +164,16 @@ def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_fi
 
 
 def test_vstar_both_factors_once_per_iterate_and_probe(capsys, monkeypatch, sample_file, tmp_path):
-    # Buffoni iterates, bisection probes and the bisection base check each
-    # factor once; the base check inverts without calling is_monotone.
+    # Buffoni iterates and bisection probes each factor once; the bisection
+    # is seeded at Buffoni's value and reuses its validation of A.
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
     factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
     probes = _count_calls(monkeypatch, classify, "is_monotone")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
     iterations = report["vstar"]["buffoni"]["iterations"]
-    assert (iterations, len(probes)) == (6, 31)
-    assert len(factorizations) == iterations + len(probes) + 1
+    assert (iterations, len(probes)) == (6, 2)
+    assert len(factorizations) == iterations + len(probes)
 
 
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):
@@ -221,6 +222,31 @@ def test_vstar_both_methods(capsys, sample_file, tmp_path):
     assert report["vstar"]["buffoni"]["value"] == pytest.approx(6.0 / 65.0, rel=1e-9)
     assert report["vstar"]["bisection"]["value"] == pytest.approx(6.0 / 65.0, abs=1e-6)
     assert report["vstar"]["discrepancy"] < 1e-6
+
+
+def test_vstar_both_seeded_bisection_matches_library(capsys, tmp_path):
+    # The seeded bisection of `vstar --method both` against the library's
+    # unseeded one, on rank-one and full-rank perturbations.
+    rng = np.random.default_rng(71)
+    a_path, e_path = tmp_path / "a.txt", tmp_path / "e.txt"
+    for i in range(50):
+        n = int(rng.integers(3, 13))
+        a = random_sdd_m_matrix(rng, n)
+        if i % 2:
+            e = random_nonneg_perturbation(rng, n)
+        else:
+            u = rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.5)
+            u[rng.integers(n)] = rng.uniform(0.5, 1.0)
+            e = np.outer(u, rng.uniform(0, 1, n))
+        a_path.write_text(format_dense(a))
+        e_path.write_text(format_dense(e))
+        report = run_json(capsys, ["vstar", str(a_path), str(e_path), "--method", "both"])
+        got = report["vstar"]["bisection"]["value"]
+        oracle = bisection_vstar(a, e)
+        if np.isinf(oracle):
+            assert got == "inf"
+        else:
+            assert abs(got - oracle) <= 1e-9
 
 
 def test_vstar_negative_perturbation(capsys, sample_file, tmp_path):
@@ -345,3 +371,20 @@ def test_flags_that_change_no_result_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # A monotone-only-with-slack matrix: --tol 0.5 and --plain on the first
+    # call must not carry over to the later ones.
+    path = tmp_path / "a.txt"
+    path.write_text("2\n1 0.3\n0.2 1\n")
+    cli._parser.cache_clear()
+    builds = _count_calls(monkeypatch, cli, "build_parser")
+    rc, out, _ = run(capsys, ["classify", str(path), "--tol", "0.5", "--plain"])
+    assert rc == 0
+    assert "is_monotone                      yes" in out
+    report = run_json(capsys, ["bounds", str(path), "--which", "main"])
+    assert report["command"] == "bounds"
+    report = run_json(capsys, ["classify", str(path)])
+    assert not report["classification"]["is_monotone"]
+    assert len(builds) == 1
