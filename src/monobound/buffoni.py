@@ -1,6 +1,7 @@
 """Exact monotonicity thresholds: the quadratically convergent ratio
-iteration, an independent bisection oracle over the monotonicity predicate,
-and the rank-one shortcut for the inverse under uniform perturbations.
+iteration, its Sherman-Morrison closed form for a rank-one perturbation, an
+independent bisection oracle over the monotonicity predicate, and the
+rank-one shortcut for the inverse under uniform perturbations.
 
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
 monotone A and an entrywise-nonnegative E.  The iteration and search settings
@@ -31,6 +32,8 @@ CONVERGENCE_RTOL = 1e-12
 MAX_ITER = 100
 V_CAP = 1e12
 W_FLOOR = 1e-14
+#: E counts as rank one when max|E - u w^T| <= RANK_ONE_RTOL * max E.
+RANK_ONE_RTOL = 1e-14
 V_HI_INIT = 1.0
 BISECT_ABS_TOL = 1e-9
 
@@ -100,26 +103,85 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     :data:`MAX_ITER` iterates at most.
     A W entry below -1e-10 * max W raises :class:`NotMonotone`: a loose
     ``tol`` let a non-monotone A through validation.
+
+    A rank-one E = u w^T (to :data:`RANK_ONE_RTOL`) skips the iteration:
+    Sherman-Morrison gives v* exactly from the inverse of A, reported as one
+    step from v = 0.
     """
     m, pert, z = _validated_pair(a, e, tol)
-    n = m.shape[0]
     cap = _v_cap(m, pert)
+    factors = _rank_one_factors(pert)
+    if factors is None:
+        return _ratio_iteration(m, pert, z, cap)
+    return _rank_one_vstar(*factors, z, cap)
+
+
+def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(u, w) with E = u w^T, scaled so that w is 1 at E's largest entry, or
+    None when E is zero or not rank one to :data:`RANK_ONE_RTOL`."""
+    i, j = divmod(int(np.argmax(pert)), pert.shape[1])
+    top = float(pert[i, j])
+    if top <= 0.0:
+        return None
+    u, w = pert[:, j], pert[i, :] / top
+    if float(np.abs(pert - np.outer(u, w)).max()) > RANK_ONE_RTOL * top:
+        return None
+    return u, w
+
+
+def _usable_denominators(w: np.ndarray, v: float) -> np.ndarray:
+    """Entries of W = Z E Z above :data:`W_FLOOR` (relative to max W); none
+    when W vanishes."""
+    w_max = float(w.max())
+    # Z >= 0 and E >= 0 keep W nonnegative (up to roundoff) below v*.
+    if not float(w.min()) >= -1e-10 * w_max:
+        raise NotMonotone(f"negative ratio denominator at v={v!r}: A + v E is not monotone")
+    return w > W_FLOOR * w_max
+
+
+def _min_ratio(
+    num: np.ndarray, den: np.ndarray, where: np.ndarray
+) -> tuple[float, tuple[int, int]]:
+    """Smallest num / den over ``where`` (math.inf when empty), clamped at 0,
+    and its entry (first in row-major order)."""
+    ratios = np.full_like(num, math.inf)
+    np.divide(num, den, out=ratios, where=where)
+    pick = divmod(int(np.argmin(ratios)), num.shape[1])
+    return max(float(ratios[pick]), 0.0), pick
+
+
+def _rank_one_vstar(u: np.ndarray, w: np.ndarray, z: np.ndarray, cap: float) -> BuffoniTrace:
+    """Exact v* for E = u w^T from Z = A^-1.
+
+    With p = Z u, q^T = w^T Z and s = w^T p, Sherman-Morrison gives
+    (A + v E)^-1 = Z - v p q^T / (1 + v s), whose (i, j) entry stays
+    nonnegative exactly while v (p_i q_j - s z_ij) <= z_ij.  W = Z E Z is
+    p q^T, masked and checked as in the iteration."""
+    p = z @ u
+    q = w @ z
+    s = float(w @ p)
+    pq = np.outer(p, q)
+    den = pq - s * z
+    vstar, pick = _min_ratio(z, den, _usable_denominators(pq, 0.0) & (den > 0.0))
+    if math.isinf(vstar):
+        return BuffoniTrace((), "diverged_infinite", math.inf)
+    steps = (IterationStep(v=0.0, increment=vstar, argmin=pick),)
+    if vstar > cap:
+        return BuffoniTrace(steps, "diverged_infinite", math.inf)
+    return BuffoniTrace(steps, "converged", vstar)
+
+
+def _ratio_iteration(m: np.ndarray, pert: np.ndarray, z: np.ndarray, cap: float) -> BuffoniTrace:
+    """The iteration of :func:`buffoni_vstar` on a validated pair, starting
+    from v = 0 with Z = A^-1 and stopping past ``cap``."""
     steps: list[IterationStep] = []
     v = 0.0
     while True:
         w = z @ pert @ z
-        w_max = float(w.max())
-        # Z >= 0 and E >= 0 keep W nonnegative (up to roundoff) below v*.
-        if not float(w.min()) >= -1e-10 * w_max:
-            raise NotMonotone(f"negative ratio denominator at v={v!r}: A + v E is not monotone")
-        if w_max <= 0.0:
+        usable = _usable_denominators(w, v)
+        if not usable.any():
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
-        usable = w > W_FLOOR * w_max
-        ratios = np.full_like(w, math.inf)
-        np.divide(z, w, out=ratios, where=usable)
-        flat = int(np.argmin(ratios))
-        pick = (flat // n, flat % n)
-        increment = max(float(ratios[pick]), 0.0)
+        increment, pick = _min_ratio(z, w, usable)
         steps.append(IterationStep(v=v, increment=increment, argmin=pick))
         v += increment
         if increment <= CONVERGENCE_RTOL * v:
@@ -185,7 +247,7 @@ def _bisect_from(
             hi = lo
             step *= 2.0
             lo = max(seed - step, 0.0)
-    while hi - lo > abs_tol:
+    while hi > lo + abs_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

@@ -147,7 +147,7 @@ def _cmd_vstar(args) -> dict:
     matrix = read_matrix(args.matrix)
     pert = read_matrix(args.perturbation)
     section: dict = {"method": args.method}
-    buffoni_value = bisect_value = None
+    trace = buffoni_value = bisect_value = None
     if args.method in ("buffoni", "both"):
         trace = buffoni_vstar(matrix, pert, tol=args.tol)
         buffoni_value = trace.vstar
@@ -157,11 +157,13 @@ def _cmd_vstar(args) -> dict:
             "iterations": trace.iteration_count,
         }
     if args.method in ("bisect", "both"):
-        if buffoni_value is None:
+        if trace is None:
             bisect_value = bisection_vstar(matrix, pert, tol=args.tol)
         else:
-            # buffoni_vstar validated the pair; its value seeds the bracket.
-            bisect_value = _bisect_from(matrix, pert, buffoni_value, BISECT_ABS_TOL, args.tol)
+            # buffoni_vstar validated the pair.  Only a converged value seeds
+            # the bracket: growing it from a far seed costs more than no seed.
+            seed = buffoni_value if trace.status == "converged" else 0.0
+            bisect_value = _bisect_from(matrix, pert, seed, BISECT_ABS_TOL, args.tol)
         section["bisection"] = {
             "value": _num(bisect_value),
             "status": "infinite" if math.isinf(bisect_value) else "finite",

@@ -7,6 +7,7 @@ from conftest import (
     SAMPLE_A_VSTAR_UNIFORM,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
+    random_tridiagonal_m_matrix,
 )
 
 from monobound import (
@@ -21,6 +22,7 @@ from monobound import (
     is_monotone,
     main_bound,
     perturb_uniform_inverse,
+    tridiagonal_bound,
 )
 from monobound.classify import DEFAULT_MONOTONE_TOL
 
@@ -29,6 +31,13 @@ def _unit(n, i, j):
     e = np.zeros((n, n))
     e[i, j] = 1.0
     return e
+
+
+def _iterate(a, e):
+    """The ratio iteration alone, the reference for pairs that
+    buffoni_vstar solves in closed form."""
+    m, pert, z = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
+    return buffoni._ratio_iteration(m, pert, z, buffoni._v_cap(m, pert))
 
 
 def test_single_entry_12(sample_a):
@@ -51,7 +60,8 @@ def test_uniform_perturbation(sample_a):
 
 
 def test_trace_is_monotone_increasing(sample_a):
-    trace = buffoni_vstar(sample_a, np.ones((3, 3)))
+    trace = _iterate(sample_a, np.ones((3, 3)))
+    assert trace.iteration_count > 1
     vs = [step.v for step in trace.iterates]
     assert vs[0] == 0.0
     assert all(b >= a for a, b in zip(vs, vs[1:]))
@@ -125,6 +135,13 @@ def test_negative_ratio_denominator_floor_is_scale_free():
         buffoni_vstar(a, _unit(2, 0, 0), tol=0.5)
 
 
+def test_negative_ratio_denominator_in_the_iteration():
+    # E_11 above is rank one and takes the closed form; E = I is rank two.
+    for scale in (1.0, 2.0**20):
+        with pytest.raises(NotMonotone):
+            buffoni_vstar(scale * np.array([[1.0, 0.3], [0.2, 1.0]]), np.eye(2), tol=0.5)
+
+
 def test_bisection_matches_iteration(sample_a):
     for e in [_unit(3, 0, 1), _unit(3, 0, 2), np.ones((3, 3))]:
         exact = buffoni_vstar(sample_a, e).vstar
@@ -151,9 +168,10 @@ def test_cap_scales_with_the_pair(sample_a, probes):
 
 def test_convergence_is_relative(sample_a):
     # Below v* = 1 an absolute floor stopped this after one step at 7.2289e-14.
-    trace = buffoni_vstar(1e-12 * sample_a, np.ones((3, 3)))
-    assert trace.status == "converged"
-    assert trace.vstar == pytest.approx(1e-12 * SAMPLE_A_VSTAR_UNIFORM, rel=1e-12, abs=0.0)
+    a, e = 1e-12 * sample_a, np.ones((3, 3))
+    for trace in (_iterate(a, e), buffoni_vstar(a, e)):
+        assert trace.status == "converged"
+        assert trace.vstar == pytest.approx(1e-12 * SAMPLE_A_VSTAR_UNIFORM, rel=1e-12, abs=0.0)
 
 
 def test_iteration_scales_with_the_pair():
@@ -163,6 +181,78 @@ def test_iteration_scales_with_the_pair():
         a = random_sdd_m_matrix(rng, n)
         e = random_nonneg_perturbation(rng, n)
         assert buffoni_vstar(2.0**-30 * a, e).vstar == 2.0**-30 * buffoni_vstar(a, e).vstar
+
+
+def _rank_one_pairs(count, seed):
+    """Random (A, E = u w^T) with n = 3..30; u and w each dense or sparse."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(3, 31))
+
+        def factor():
+            v = rng.uniform(0.1, 2.0, n)
+            if rng.random() < 0.5:
+                v *= rng.random(n) < 0.3
+                v[rng.integers(n)] = rng.uniform(0.5, 2.0)
+            return v
+
+        pairs.append((random_sdd_m_matrix(rng, n), np.outer(factor(), factor())))
+    return pairs
+
+
+def test_closed_form_matches_iteration():
+    for a, e in _rank_one_pairs(50, 43):
+        closed = buffoni_vstar(a, e)
+        assert (closed.status, closed.iteration_count) == ("converged", 1)
+        assert closed.iterates[0].v == 0.0
+        assert closed.iterates[0].increment == closed.vstar
+        assert closed.vstar == pytest.approx(_iterate(a, e).vstar, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_on_a_diagonal_entry_is_infinite():
+    # A + v E_kk is an M-matrix for every v >= 0.
+    a = random_sdd_m_matrix(np.random.default_rng(47), 6)
+    closed = buffoni_vstar(a, _unit(6, 2, 2))
+    assert (closed.status, closed.vstar) == ("diverged_infinite", np.inf)
+    assert _iterate(a, _unit(6, 2, 2)).vstar == np.inf
+
+
+def test_closed_form_uniform_matches_main_bound(sample_a):
+    rng = np.random.default_rng(53)
+    for a in [sample_a] + [random_sdd_m_matrix(rng, int(rng.integers(3, 20))) for _ in range(10)]:
+        n = a.shape[0]
+        assert buffoni_vstar(a, np.ones((n, n))).vstar == pytest.approx(
+            main_bound(a).value, rel=1e-12, abs=0.0
+        )
+
+
+def test_closed_form_single_entry_matches_tridiagonal_bound():
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        n = int(rng.integers(4, 12))
+        a = random_tridiagonal_m_matrix(rng, n)
+        l, k = (int(x) for x in rng.choice(n, 2, replace=False))
+        while abs(l - k) < 2:
+            l, k = (int(x) for x in rng.choice(n, 2, replace=False))
+        closed = buffoni_vstar(a, _unit(n, l, k))
+        assert closed.iteration_count == 1
+        assert closed.vstar == pytest.approx(tridiagonal_bound(a, l, k).value, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_scales_with_the_pair():
+    for a, e in _rank_one_pairs(20, 61):
+        for k in (-30, 7):
+            assert buffoni_vstar(2.0**k * a, e).vstar == 2.0**k * buffoni_vstar(a, e).vstar
+
+
+def test_near_rank_one_takes_the_iteration():
+    for a, e in _rank_one_pairs(10, 67):
+        n = a.shape[0]
+        near = e + 1e-8 * e.max() * np.outer(np.arange(n) + 1.0, np.ones(n))
+        trace = buffoni_vstar(a, near)
+        assert trace.iteration_count > 1
+        assert trace.vstar == pytest.approx(bisection_vstar(a, near), abs=1e-6)
 
 
 def _pairs():
@@ -203,6 +293,18 @@ def test_seeded_bisection_brackets_the_threshold(pair, seed, probes):
     assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15)
     if seed in ("exact", "just_above"):
         assert len(probes) <= 5  # a good seed saves the unseeded search's 31 probes
+
+
+@pytest.mark.parametrize("scale", [2.0**10, 2.0**11, 2.0**13])
+def test_exact_seed_takes_two_probes(sample_a, scale, probes):
+    # For v* near 1e-5..1e-4, v* + abs_tol rounds to more than abs_tol above
+    # v*; that rounding must not cost a third probe.
+    e = scale * np.ones((3, 3))
+    exact = buffoni_vstar(sample_a, e).vstar
+    probes.clear()
+    got = buffoni._bisect_from(sample_a, e, exact, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL)
+    assert [bool(verdict) for _, verdict in probes] == [True, False]
+    assert got == 0.5 * (exact + (exact + buffoni.BISECT_ABS_TOL))
 
 
 def test_threshold_separates_monotone_regime(sample_a):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_nonneg_perturbation, random_sdd_m_matrix
 
-from monobound import bisection_vstar, classify, cli, format_dense, graphdist, linalg
+from monobound import bisection_vstar, buffoni, classify, cli, format_dense, graphdist, linalg
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -164,15 +164,16 @@ def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_fi
 
 
 def test_vstar_both_factors_once_per_iterate_and_probe(capsys, monkeypatch, sample_file, tmp_path):
-    # Buffoni iterates and bisection probes each factor once; the bisection
-    # is seeded at Buffoni's value and reuses its validation of A.
+    # Buffoni iterates and bisection probes each factor once; E = J is rank
+    # one, so Buffoni takes one closed-form step from the inverse that
+    # validates A, and the bisection is seeded at its value.
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
     factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
     probes = _count_calls(monkeypatch, classify, "is_monotone")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
     iterations = report["vstar"]["buffoni"]["iterations"]
-    assert (iterations, len(probes)) == (6, 2)
+    assert (iterations, len(probes)) == (1, 2)
     assert len(factorizations) == iterations + len(probes)
 
 
@@ -247,6 +248,24 @@ def test_vstar_both_seeded_bisection_matches_library(capsys, tmp_path):
             assert got == "inf"
         else:
             assert abs(got - oracle) <= 1e-9
+
+
+def test_vstar_both_seeds_only_from_a_converged_value(capsys, monkeypatch, tmp_path):
+    # One iterate stops short of v*.  Growing the bracket from a far seed
+    # doubles out to v* and halves back, which costs more than no seed.
+    monkeypatch.setattr(buffoni, "MAX_ITER", 1)
+    rng = np.random.default_rng(73)
+    a, e = random_sdd_m_matrix(rng, 6), random_nonneg_perturbation(rng, 6)
+    a_path, e_path = tmp_path / "a.txt", tmp_path / "e.txt"
+    a_path.write_text(format_dense(a))
+    e_path.write_text(format_dense(e))
+    probes = _count_calls(monkeypatch, classify, "is_monotone")
+    bisection_vstar(a, e)
+    unseeded = len(probes)
+    probes.clear()
+    report = run_json(capsys, ["vstar", str(a_path), str(e_path), "--method", "both"])
+    assert report["vstar"]["buffoni"]["status"] == "max_iterations"
+    assert len(probes) <= unseeded
 
 
 def test_vstar_negative_perturbation(capsys, sample_file, tmp_path):
