@@ -77,19 +77,74 @@ def test_diagonal_perturbation_never_breaks():
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Record each bisection probe as (matrix, verdict); fail past 500
-    instead of running on."""
+    """Record each probe of the threshold search as (v, verdict); fail past
+    500 instead of running on."""
     seen = []
+    checked_inverse = buffoni._checked_inverse
 
-    def counted(m, tol):
-        verdict = is_monotone(m, tol)
-        seen.append((m, verdict))
+    def counted(m, pert, v, tol):
+        verdict, inv = checked_inverse(m, pert, v, tol)
+        seen.append((v, verdict))
         if len(seen) > 500:
-            pytest.fail("bisection made more than 500 probes")
-        return verdict
+            pytest.fail("the search made more than 500 probes")
+        return verdict, inv
 
-    monkeypatch.setattr(buffoni, "is_monotone", counted)
+    monkeypatch.setattr(buffoni, "_checked_inverse", counted)
     return seen
+
+
+def _reference_search(a, e, seed, abs_tol, tol):
+    """Reference for the threshold search: the same bracket expansion as
+    buffoni._bisect_from, narrowed by plain midpoint bisection.  Returns
+    (value, number of probes)."""
+    m, pert = np.asarray(a, dtype=float), np.asarray(e, dtype=float)
+    cap = buffoni._v_cap(m, pert)
+    if np.isinf(cap):
+        return np.inf, 0
+    count = 0
+
+    def monotone_at(v):
+        nonlocal count
+        count += 1
+        return bool(is_monotone(m + v * pert, tol))
+
+    if 0.0 < seed < np.inf:
+        step = abs_tol
+    else:
+        seed, step = 0.0, buffoni.V_HI_INIT
+    if seed == 0.0 or monotone_at(seed):
+        lo, hi = seed, seed + step
+        while monotone_at(hi):
+            lo = hi
+            step *= 2.0
+            hi = seed + step
+            if hi > cap:
+                return np.inf, count
+    else:
+        lo, hi = max(seed - step, 0.0), seed
+        while lo > 0.0 and not monotone_at(lo):
+            hi = lo
+            step *= 2.0
+            lo = max(seed - step, 0.0)
+    while hi > lo + abs_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if monotone_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), count
+
+
+def _final_bracket(probes):
+    """(lo, hi) of a finished search: the last probes each way, and lo = 0
+    when no probe was monotone.  Each monotone probe lies above the ones
+    before it and each failing probe below them."""
+    monotone = [0.0] + [v for v, ok in probes if ok]
+    failing = [v for v, ok in probes if not ok]
+    assert monotone == sorted(monotone) and failing == sorted(failing, reverse=True)
+    return monotone[-1], failing[-1]
 
 
 def test_zero_perturbation_is_infinite(sample_a, probes):
@@ -156,6 +211,74 @@ def test_bisection_stops_at_float_spacing(sample_a, probes):
     # v* = 9.23e6, where adjacent floats are 1.9e-9 apart: wider than abs_tol.
     a, e = 1e8 * sample_a, np.ones((3, 3))
     assert bisection_vstar(a, e) == pytest.approx(buffoni_vstar(a, e).vstar, rel=1e-8)
+
+
+def _search_pairs():
+    """(A, E, abs_tol, tol): full-rank E with n = 2..30, rank-one E, and
+    single-entry tridiagonal pairs with criterion 8's settings."""
+    rng = np.random.default_rng(101)
+    pairs = []
+    for n in np.linspace(2, 30, 12).astype(int):
+        a, e = random_sdd_m_matrix(rng, int(n)), random_nonneg_perturbation(rng, int(n))
+        pairs.append((a, e, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL))
+    for a, e in _rank_one_pairs(6, 103):
+        pairs.append((a, e, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL))
+    for _ in range(6):
+        n = int(rng.integers(4, 12))
+        a = random_tridiagonal_m_matrix(rng, n)
+        l, k = (int(x) for x in rng.choice(n, 2, replace=False))
+        while abs(l - k) < 2:
+            l, k = (int(x) for x in rng.choice(n, 2, replace=False))
+        pairs.append((a, _unit(n, l, k), 1e-9 * tridiagonal_bound(a, l, k).value, 1e-13))
+    return pairs
+
+
+def _check_search(a, e, abs_tol, tol, probes):
+    """Run bisection_vstar on the pair and check it against the reference
+    search; return (its probes, the reference's probes)."""
+    probes.clear()
+    got = bisection_vstar(a, e, abs_tol=abs_tol, tol=tol)
+    want, reference = _reference_search(a, e, 0.0, abs_tol, tol)
+    assert len(probes) <= reference + 1
+    if np.isinf(want):
+        assert got == np.inf
+    else:
+        assert abs(got - want) <= abs_tol
+        lo, hi = _final_bracket(probes)
+        assert hi - lo <= abs_tol * (1 + 1e-6)
+        assert is_monotone(a + lo * e, tol) and not is_monotone(a + hi * e, tol)
+        assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15 * hi)
+    return len(probes), reference
+
+
+def test_search_takes_at_most_one_probe_beyond_bisection(probes):
+    # The narrowing places each probe by ITP instead of at the midpoint.  It
+    # must keep plain bisection's bracket and result, never cost more than
+    # one probe beyond it, and on these pairs save at least half its probes.
+    # Scaling the pair by 2^20 or 2^-20 leaves v* and every verdict as they
+    # are, so the interpolation must not depend on the scale either.
+    total = reference_total = checked = 0
+    for a, e, abs_tol, tol in _search_pairs():
+        counts = {
+            scale: _check_search(scale * a, scale * e, abs_tol, tol, probes)
+            for scale in (1.0, 2.0**20, 2.0**-20)
+        }
+        assert len(set(counts.values())) == 1
+        total += sum(taken for taken, _ in counts.values())
+        reference_total += sum(reference for _, reference in counts.values())
+        checked += len(counts)
+    assert checked >= 60
+    assert 2 * total <= reference_total
+
+
+def test_search_bound_holds_when_only_a_is_scaled(probes):
+    # With A alone scaled by 2^-20, v* lies about 1e6 times below the first
+    # candidate V_HI_INIT: the inverses at 0 and 1 interpolate poorly and the
+    # narrowing saves few probes, but it still takes at most one more than
+    # plain bisection.
+    for a, e, abs_tol, tol in _search_pairs():
+        for scale in (2.0**20, 2.0**-20):
+            _check_search(scale * a, e, scale * abs_tol, tol, probes)
 
 
 def test_cap_scales_with_the_pair(sample_a, probes):
@@ -282,17 +405,14 @@ def test_seeded_bisection_brackets_the_threshold(pair, seed, probes):
     probes.clear()
     got = buffoni._bisect_from(a, e, start, abs_tol, DEFAULT_MONOTONE_TOL)
     assert abs(got - unseeded) <= abs_tol
-    # Recover each probe's v; the bracket ends are the last probes each way.
-    k = np.unravel_index(np.argmax(e), e.shape)
-    probed = [((m - a)[k] / e[k], verdict) for m, verdict in probes]
-    lo = max([v for v, ok in probed if ok], default=0.0)
-    hi = min(v for v, ok in probed if not ok)
-    assert all(v <= lo for v, ok in probed if ok)
+    lo, hi = _final_bracket(probes)
     assert hi - lo <= abs_tol * (1 + 1e-6)
     assert is_monotone(a + lo * e) and not is_monotone(a + hi * e)
     assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15)
+    _, reference = _reference_search(a, e, start, abs_tol, DEFAULT_MONOTONE_TOL)
+    assert len(probes) <= reference + 1
     if seed in ("exact", "just_above"):
-        assert len(probes) <= 5  # a good seed saves the unseeded search's 31 probes
+        assert len(probes) <= 5  # a good seed saves most of the unseeded search's probes
 
 
 @pytest.mark.parametrize("scale", [2.0**10, 2.0**11, 2.0**13])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_nonneg_perturbation, random_sdd_m_matrix
 
-from monobound import bisection_vstar, buffoni, classify, cli, format_dense, graphdist, linalg
+from monobound import bisection_vstar, buffoni, cli, format_dense, graphdist, linalg
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -170,7 +170,7 @@ def test_vstar_both_factors_once_per_iterate_and_probe(capsys, monkeypatch, samp
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
     factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
-    probes = _count_calls(monkeypatch, classify, "is_monotone")
+    probes = _count_calls(monkeypatch, buffoni, "_checked_inverse")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
     iterations = report["vstar"]["buffoni"]["iterations"]
     assert (iterations, len(probes)) == (1, 2)
@@ -259,7 +259,7 @@ def test_vstar_both_seeds_only_from_a_converged_value(capsys, monkeypatch, tmp_p
     a_path, e_path = tmp_path / "a.txt", tmp_path / "e.txt"
     a_path.write_text(format_dense(a))
     e_path.write_text(format_dense(e))
-    probes = _count_calls(monkeypatch, classify, "is_monotone")
+    probes = _count_calls(monkeypatch, buffoni, "_checked_inverse")
     bisection_vstar(a, e)
     unseeded = len(probes)
     probes.clear()
