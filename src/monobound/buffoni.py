@@ -1,9 +1,8 @@
 """Exact monotonicity thresholds: the quadratically convergent ratio
-iteration, its Sherman-Morrison closed form for a rank-one perturbation, an
-independent bracketing oracle over the monotonicity predicate (bisection
-whose probes are placed by ITP interpolation between the inverses at the
-bracket ends), and the rank-one shortcut for the inverse under uniform
-perturbations.
+iteration, its Sherman-Morrison closed form for a rank-one perturbation,
+and an independent bracketing oracle over the monotonicity predicate
+(bisection whose probes are placed by ITP interpolation between the
+inverses at the bracket ends).
 
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
 monotone A and an entrywise-nonnegative E.  The iteration and search settings
@@ -18,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import InverseStats
 from .classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_check
 from .errors import (
     DimensionMismatch,
@@ -26,7 +24,6 @@ from .errors import (
     NotMonotone,
     SingularIterate,
     SingularMatrix,
-    UpdateSingular,
 )
 from .linalg import as_square_matrix, inverse
 
@@ -340,17 +337,3 @@ def _itp_point(
     v = v + math.copysign(shift, mid - v) if shift <= abs(mid - v) else mid
     radius = max(reach - 0.5 * (hi - lo), 0.0)
     return min(max(v, mid - radius), mid + radius)
-
-
-def perturb_uniform_inverse(stats: InverseStats, v: float) -> np.ndarray:
-    """Inverse of A + v J (J all-ones) straight from the inverse statistics
-    of A: inv - (v / (1 + v * total)) * outer(row_sums, col_sums).
-
-    Raises :class:`UpdateSingular` when 1 + v * total is not safely positive.
-    """
-    denominator = 1.0 + v * stats.total
-    if denominator <= 1e-14:
-        raise UpdateSingular(
-            f"uniform update denominator {denominator:.3e} is not safely positive"
-        )
-    return stats.inv - (v / denominator) * np.outer(stats.row_sums, stats.col_sums)

@@ -19,11 +19,7 @@ class DimensionMismatch(MonoboundError):
 
 
 class SingularMatrix(MonoboundError):
-    """A pivot fell below the singularity threshold during factorization."""
-
-
-class UpdateSingular(MonoboundError):
-    """A rank-one update denominator is numerically zero."""
+    """A matrix is singular to the relative threshold of factorization or inverse."""
 
 
 class ZeroDiagonal(MonoboundError):

@@ -1,11 +1,18 @@
-"""Dense LU-based linear algebra: factorization, inverse, determinant, and
-the Sherman-Morrison rank-one inverse update.
+"""Dense linear algebra: the inverse, and an LU factorization with its
+solve and determinant.
 
-Everything here is deterministic and pure.  Partial pivoting picks the
-largest-magnitude candidate and breaks ties by the lowest row index, so
-repeated calls on identical input give bit-identical results.  No iterative
-refinement is attempted; the intended scale is dense matrices up to a few
-hundred rows.
+:func:`inverse` is one LAPACK call (``numpy.linalg.inv``: getrf and getri),
+so every monotonicity verdict in the package comes from one engine.  Its
+singularity test is relative: the inverse is refused unless
+``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.
+
+:func:`lu_factor` and :func:`determinant` keep a Python elimination because
+their callers need what ``numpy.linalg`` does not expose: the pivots, their
+order and a pivot threshold relative to the largest entry of the input.
+Partial pivoting picks the largest-magnitude candidate and breaks ties by
+the lowest row index, so repeated calls on identical input give
+bit-identical results.  No iterative refinement is attempted; the intended
+scale is dense matrices up to a few hundred rows.
 
 The factorization and the triangular solves are right-looking blocked
 algorithms over panels of :data:`BLOCK` rows or columns: the Python loop
@@ -14,9 +21,8 @@ each panel to the rows and columns not yet reached.  A matrix of at most
 ``BLOCK`` rows is a single panel.  Pivot choice and the singularity test are the unblocked
 ones, applied column by column; blocking changes only the order in which
 the updates are summed, so entries may differ from an unblocked elimination
-in the last bits.  numpy is the only dependency: LAPACK (through scipy)
-would add an import to every command and does not keep this pivot and
-threshold contract.
+in the last bits.  :func:`lu_solve` also serves the tests as the reference
+that :func:`inverse` is checked against.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix, UpdateSingular
+from .errors import DimensionMismatch, SingularMatrix
 
-#: Pivots (and rank-one denominators) at or below this, relative to the
-#: largest entry magnitude of the input, are treated as exactly singular.
+#: Pivots at or below this, relative to the largest entry magnitude of the
+#: input, are treated as exactly singular; :func:`inverse` refuses a matrix
+#: unless this times max|A| * max|A^-1| is below 1.
 SINGULARITY_RTOL = 1e-14
 
 #: Panel width of the blocked factorization and solves.
@@ -153,9 +160,29 @@ def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse via LU; raises :class:`SingularMatrix` on singular input."""
-    factors = lu_factor(a)
-    return lu_solve(factors, np.eye(factors.n))
+    """Inverse by LAPACK (``numpy.linalg.inv``).
+
+    Raises :class:`SingularMatrix` when LAPACK meets an exactly zero pivot,
+    and unless ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.  That product
+    is taken in Python floats, so a non-finite inverse fails it without a
+    warning and no NaN or inf is returned.  On ``diag(1, 10^-k)`` and on
+    Hilbert matrices of order n the test agrees with :func:`lu_factor`'s
+    pivot threshold (both accept k <= 13 and n <= 10, both refuse k >= 14
+    and n >= 12), except at n = 11 (condition about 5e14), which
+    :func:`lu_factor` accepts and this refuses.
+    """
+    m = as_square_matrix(a)
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("matrix is singular: LAPACK met an exactly zero pivot") from None
+    product = float(np.abs(m).max()) * float(np.abs(inv).max())
+    if not SINGULARITY_RTOL * product < 1.0:
+        raise SingularMatrix(
+            f"matrix is numerically singular: max|A| * max|A^-1| = {product:.3e} "
+            f"is not below 1 / {SINGULARITY_RTOL:.0e}"
+        )
+    return inv
 
 
 def determinant(a) -> float:
@@ -167,28 +194,3 @@ def determinant(a) -> float:
     m = as_square_matrix(a).copy()
     packed, _, sign = _eliminate(m, raise_on_singular=False)
     return float(sign * np.prod(np.diagonal(packed)))
-
-
-def sherman_morrison(ainv, u, v, b: float) -> np.ndarray:
-    """Inverse of A + b * outer(u, v), given ``ainv`` = inverse of A.
-
-    Uses (A + b u v^T)^-1 = A^-1 - (b / (1 + b v^T A^-1 u)) (A^-1 u)(v^T A^-1)
-    and raises :class:`UpdateSingular` when the denominator magnitude is at
-    most 1e-14.  A zero coefficient returns ``ainv`` unchanged (as a copy).
-    """
-    inv = as_square_matrix(ainv)
-    uvec = np.asarray(u, dtype=float)
-    vvec = np.asarray(v, dtype=float)
-    if uvec.shape != (inv.shape[0],) or vvec.shape != (inv.shape[0],):
-        raise DimensionMismatch(
-            f"u and v must be length-{inv.shape[0]} vectors, "
-            f"got {uvec.shape} and {vvec.shape}"
-        )
-    denominator = 1.0 + float(b) * float(vvec @ inv @ uvec)
-    if abs(denominator) <= 1e-14:
-        raise UpdateSingular(
-            f"rank-one update denominator {denominator:.3e} is numerically zero"
-        )
-    if b == 0.0:
-        return inv.copy()
-    return inv - (b / denominator) * np.outer(inv @ uvec, vvec @ inv)

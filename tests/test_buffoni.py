@@ -14,14 +14,14 @@ from monobound import (
     DimensionMismatch,
     NegativePerturbation,
     NotMonotone,
-    UpdateSingular,
+    SingularMatrix,
     bisection_vstar,
     buffoni,
     buffoni_vstar,
+    inverse,
     inverse_stats,
     is_monotone,
     main_bound,
-    perturb_uniform_inverse,
     tridiagonal_bound,
 )
 from monobound.classify import DEFAULT_MONOTONE_TOL
@@ -450,26 +450,28 @@ def test_random_pairs_agree_with_oracle():
 def test_uniform_inverse_update_matches_direct(sample_a):
     stats = inverse_stats(sample_a)
     v = 0.05
-    direct = np.linalg.inv(sample_a + v * np.ones((3, 3)))
-    assert np.max(np.abs(perturb_uniform_inverse(stats, v) - direct)) <= 1e-10
+    direct = inverse(sample_a + v * np.ones((3, 3)))
+    # Sherman-Morrison for A + v J from the inverse statistics of A.
+    updated = stats.inv - (v / (1.0 + v * stats.total)) * np.outer(stats.row_sums, stats.col_sums)
+    assert np.max(np.abs(updated - direct)) <= 1e-10
 
 
 def test_uniform_inverse_update_at_zero(sample_a):
     stats = inverse_stats(sample_a)
-    assert np.array_equal(perturb_uniform_inverse(stats, 0.0), stats.inv)
+    assert np.array_equal(inverse(sample_a + 0.0 * np.ones((3, 3))), stats.inv)
 
 
 def test_uniform_inverse_vanishes_at_threshold(sample_a):
-    stats = inverse_stats(sample_a)
-    updated = perturb_uniform_inverse(stats, SAMPLE_A_VSTAR_UNIFORM)
+    updated = inverse(sample_a + SAMPLE_A_VSTAR_UNIFORM * np.ones((3, 3)))
     assert updated.min() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_inverse_update_singular():
-    stats = inverse_stats(-np.eye(2))
+    a = -np.eye(2)
     # total is -2, so v = 0.5 zeroes the denominator 1 + v * total
-    with pytest.raises(UpdateSingular):
-        perturb_uniform_inverse(stats, 0.5)
+    assert 1.0 + 0.5 * inverse_stats(a).total == 0.0
+    with pytest.raises(SingularMatrix, match="singular"):
+        inverse(a + 0.5 * np.ones((2, 2)))
 
 
 def test_threshold_grid_random():
@@ -477,8 +479,8 @@ def test_threshold_grid_random():
     for _ in range(8):
         n = int(rng.integers(3, 6))
         a = random_sdd_m_matrix(rng, n)
-        v = buffoni_vstar(a, np.ones((n, n))).vstar
-        stats = inverse_stats(a)
+        ones = np.ones((n, n))
+        v = buffoni_vstar(a, ones).vstar
         for frac in (0.25, 0.5, 0.9):
-            updated = perturb_uniform_inverse(stats, frac * v)
+            updated = inverse(a + frac * v * ones)
             assert updated.min() >= -1e-10

@@ -147,7 +147,7 @@ def _assert_same_report(got, want):
 
 
 def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
-    factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
+    factorizations = _count_calls(monkeypatch, linalg, "inverse")
     distance_scans = _count_calls(monkeypatch, graphdist, "bouchon_M")
     report = run_json(capsys, ["bounds", sample_file, "--which", "all"])
     assert len(factorizations) == 1
@@ -158,18 +158,18 @@ def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
 def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_file, tmp_path):
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
-    factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
+    factorizations = _count_calls(monkeypatch, linalg, "inverse")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "buffoni"])
     assert len(factorizations) == report["vstar"]["buffoni"]["iterations"]
 
 
 def test_vstar_both_factors_once_per_iterate_and_probe(capsys, monkeypatch, sample_file, tmp_path):
-    # Buffoni iterates and bisection probes each factor once; E = J is rank
+    # Buffoni iterates and bisection probes each invert once; E = J is rank
     # one, so Buffoni takes one closed-form step from the inverse that
     # validates A, and the bisection is seeded at its value.
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
-    factorizations = _count_calls(monkeypatch, linalg, "lu_factor")
+    factorizations = _count_calls(monkeypatch, linalg, "inverse")
     probes = _count_calls(monkeypatch, buffoni, "_checked_inverse")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
     iterations = report["vstar"]["buffoni"]["iterations"]

@@ -1,4 +1,7 @@
-"""Factorization, inverse, determinant, and rank-one update checks."""
+"""Factorization, inverse and determinant checks.
+
+``lu_solve(lu_factor(a), I)``, the blocked elimination, is the labelled
+reference that the LAPACK-backed ``inverse`` is compared with."""
 
 import numpy as np
 import pytest
@@ -7,13 +10,12 @@ from conftest import SAMPLE_A, SAMPLE_A_INV_4DP, random_well_conditioned
 from monobound import (
     DimensionMismatch,
     SingularMatrix,
-    UpdateSingular,
     determinant,
     inverse,
+    is_monotone,
     linalg,
     lu_factor,
     lu_solve,
-    sherman_morrison,
 )
 
 
@@ -76,6 +78,11 @@ def test_lu_solve_vector_and_matrix():
         lu_solve(f, np.ones(5))
 
 
+def _reference_inverse(a):
+    """Reference: the blocked elimination's solve against the identity."""
+    return lu_solve(lu_factor(a), np.eye(len(a)))
+
+
 def test_inverse_matches_reference_values():
     assert np.max(np.abs(inverse(SAMPLE_A) - SAMPLE_A_INV_4DP)) <= 5e-5
 
@@ -90,7 +97,69 @@ def test_inverse_residual_and_oracle():
         a = random_well_conditioned(rng, 6)
         inv = inverse(a)
         assert np.max(np.abs(a @ inv - np.eye(6))) <= 1e-10
-        assert np.allclose(inv, np.linalg.inv(a), atol=1e-10)
+        assert np.allclose(inv, _reference_inverse(a), atol=1e-10)
+
+
+SINGULAR_3X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500])
+def test_inverse_rejects_singular_at_any_scale(scale):
+    with pytest.raises(SingularMatrix, match="singular"):
+        inverse(scale * SINGULAR_3X3)
+
+
+def test_is_monotone_reports_singular():
+    check = is_monotone(SINGULAR_3X3)
+    assert not check.monotone
+    assert check.singular
+
+
+@pytest.mark.parametrize("k", range(10, 18))
+def test_inverse_and_lu_factor_share_the_threshold_on_diagonals(k):
+    a = np.diag([1.0, 10.0**-k])
+    if k <= 13:
+        assert inverse(a)[1, 1] == pytest.approx(10.0**k, rel=1e-15)
+        lu_factor(a)
+    else:
+        with pytest.raises(SingularMatrix, match="singular"):
+            inverse(a)
+        with pytest.raises(SingularMatrix):
+            lu_factor(a)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_inverse_and_lu_factor_on_hilbert_matrices(n):
+    # Both accept n <= 10 and refuse n >= 12.  At n = 11 (condition about
+    # 5e14) max|A| * max|A^-1| is 1.17e14: inverse refuses, while every
+    # pivot of lu_factor stays above 1e-14.
+    h = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+    if n <= 10:
+        inverse(h)
+        lu_factor(h)
+    elif n == 11:
+        lu_factor(h)
+        with pytest.raises(SingularMatrix, match="singular"):
+            inverse(h)
+    else:
+        with pytest.raises(SingularMatrix, match="singular"):
+            inverse(h)
+        with pytest.raises(SingularMatrix):
+            lu_factor(h)
+
+
+def test_inverse_refuses_an_inverse_that_overflows():
+    # 1 / 1e-310 is past the largest float; LAPACK returns NaN and inf
+    # entries here, and neither may be returned.
+    with pytest.raises(SingularMatrix, match="singular"):
+        inverse(1e-310 * np.eye(2))
+
+
+def test_inverse_repeats_bit_identically():
+    rng = np.random.default_rng(19)
+    for n in (3, 40, 225):
+        a = rng.normal(size=(n, n))
+        assert np.array_equal(inverse(a), inverse(a.copy()))
 
 
 def test_determinant_examples():
@@ -109,42 +178,6 @@ def test_determinant_of_inverse_is_reciprocal():
     for _ in range(20):
         a = random_well_conditioned(rng, 5)
         assert determinant(a) * determinant(inverse(a)) == pytest.approx(1.0, rel=1e-8)
-
-
-def test_sherman_morrison_unit_example():
-    e1 = np.array([1.0, 0.0])
-    updated = sherman_morrison(np.eye(2), e1, e1, 1.0)
-    assert np.allclose(updated, [[0.5, 0.0], [0.0, 1.0]])
-
-
-def test_sherman_morrison_zero_coefficient_returns_copy():
-    inv = inverse(SAMPLE_A)
-    out = sherman_morrison(inv, np.ones(3), np.ones(3), 0.0)
-    assert np.array_equal(out, inv)
-    assert out is not inv
-
-
-def test_sherman_morrison_matches_direct_inverse():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        a = random_well_conditioned(rng, 8)
-        u = rng.uniform(-0.5, 0.5, size=8)
-        v = rng.uniform(-0.5, 0.5, size=8)
-        b = rng.uniform(-0.2, 0.2)
-        updated = sherman_morrison(inverse(a), u, v, b)
-        assert np.allclose(updated, np.linalg.inv(a + b * np.outer(u, v)), atol=1e-9)
-
-
-def test_sherman_morrison_detects_singular_update():
-    # I2 with u = v = e1 and b = -1 zeroes out the (1,1) pivot exactly.
-    e1 = np.array([1.0, 0.0])
-    with pytest.raises(UpdateSingular):
-        sherman_morrison(np.eye(2), e1, e1, -1.0)
-
-
-def test_sherman_morrison_rejects_bad_shapes():
-    with pytest.raises(DimensionMismatch):
-        sherman_morrison(np.eye(3), np.ones(2), np.ones(3), 1.0)
 
 
 def _unblocked_perm_sign(a):
@@ -181,7 +214,7 @@ def test_blocked_factor_matches_unblocked_pivoting(n):
         assert f.sign == sign
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a[f.perm] - f.lower @ f.upper)) <= 1e-13 * n * scale
-        expected = np.linalg.inv(a)
+        expected = lu_solve(f, np.eye(n))
         assert np.max(np.abs(inverse(a) - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
