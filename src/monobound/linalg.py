@@ -27,6 +27,7 @@ that :func:`inverse` is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,11 @@ def lu_solve(factors: LUFactors, rhs) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Inverse by LAPACK (``numpy.linalg.inv``).
+    """Inverse by LAPACK (``numpy.linalg.inv``) of ``A`` scaled by the power
+    of two that brings ``max|A|`` into [0.5, 1) (or as near as a finite
+    factor gets a subnormal ``max|A|``), then scaled back.  Partial pivoting
+    commutes with that scaling, so the result is the unscaled one bit for bit
+    unless an entry over- or underflows on one side.
 
     Raises :class:`SingularMatrix` when LAPACK meets an exactly zero pivot,
     and unless ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.  That product
@@ -172,11 +177,18 @@ def inverse(a) -> np.ndarray:
     :func:`lu_factor` accepts and this refuses.
     """
     m = as_square_matrix(a)
+    amax = float(np.abs(m).max())
+    # inv(sA) = inv(A) / s, and a power of two s scales exactly; bringing
+    # max|A| near 1 keeps LAPACK's elimination from overflowing.  2^1022 is
+    # the largest factor that is itself finite.
+    scale = 2.0 ** -max(math.frexp(amax)[1], -1022)
     try:
-        inv = np.linalg.inv(m)
+        inv = np.linalg.inv(m * scale)
     except np.linalg.LinAlgError:
         raise SingularMatrix("matrix is singular: LAPACK met an exactly zero pivot") from None
-    product = float(np.abs(m).max()) * float(np.abs(inv).max())
+    with np.errstate(over="ignore"):
+        inv *= scale
+    product = amax * float(np.abs(inv).max())
     if not SINGULARITY_RTOL * product < 1.0:
         raise SingularMatrix(
             f"matrix is numerically singular: max|A| * max|A^-1| = {product:.3e} "

@@ -253,6 +253,36 @@ def test_tridiagonal_against_bisection_oracle():
         assert h == pytest.approx(oracle, rel=1e-8)
 
 
+def test_tridiagonal_matches_buffoni_on_single_entries():
+    # A single entry e_l e_k^T is rank one, so buffoni_vstar takes the
+    # Sherman-Morrison route, independent of the chain/determinant formula.
+    # A quarter of the draws zero two subdiagonal entries: a broken chain
+    # gives 0.  Neither side can be infinite on a nonsingular tridiagonal
+    # M-matrix; if one is, both must be.
+    rng = np.random.default_rng(113)
+    failures = []
+    for trial in range(150):
+        n = int(rng.integers(3, 21))
+        a = random_tridiagonal_m_matrix(rng, n)
+        if trial % 4 == 0:
+            cut = rng.integers(0, n - 1, size=2)
+            a[cut + 1, cut] = 0.0
+        l, k = 0, 0
+        while abs(l - k) < 2:
+            l, k = (int(x) for x in rng.integers(0, n, size=2))
+        h = tridiagonal_bound(a, l, k).value
+        e = np.zeros((n, n))
+        e[l, k] = 1.0
+        vstar = buffoni_vstar(a, e).vstar
+        if math.isinf(vstar) or math.isinf(h):
+            ok = vstar == h
+        else:
+            ok = abs(vstar - h) <= max(1e-6, 1e-6 * vstar)
+        if not ok:
+            failures.append((n, l, k, h, vstar))
+    assert not failures, failures
+
+
 def test_tridiagonal_survives_overflowing_determinant():
     # The chain product 10^999 and the block determinant both overflow.
     n = 1000

@@ -155,6 +155,13 @@ def test_inverse_refuses_an_inverse_that_overflows():
         inverse(1e-310 * np.eye(2))
 
 
+def test_inverse_of_entries_near_the_largest_float():
+    # Unscaled, the elimination overflows and LAPACK returns the singular
+    # [[1e-308, 0], [0, -0]] with a condition product far below the limit.
+    inv = inverse(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    assert np.allclose(inv, 5e-309 * np.array([[1.0, 1.0], [1.0, -1.0]]), rtol=1e-15, atol=0.0)
+
+
 def test_inverse_repeats_bit_identically():
     rng = np.random.default_rng(19)
     for n in (3, 40, 225):
