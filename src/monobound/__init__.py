@@ -62,13 +62,7 @@ from .errors import (
     ZeroDiagonal,
     ZeroMarginal,
 )
-from .graphdist import (
-    MatrixDigraph,
-    bouchon_M,
-    build_digraph,
-    distance,
-    distances_from,
-)
+from .graphdist import bouchon_M
 from .laplacian import (
     BlockLaplacianParams,
     block_laplacian_bounds,
@@ -76,14 +70,7 @@ from .laplacian import (
     block_laplacian_stats,
     build_block_laplacian,
 )
-from .linalg import (
-    LUFactors,
-    as_square_matrix,
-    determinant,
-    inverse,
-    lu_factor,
-    lu_solve,
-)
+from .linalg import as_square_matrix, inverse
 from .matrixio import format_dense, parse_matrix, read_matrix, write_dense
 
 __version__ = "0.1.0"
@@ -101,8 +88,6 @@ __all__ = [
     "InvalidParams",
     "InverseStats",
     "IterationStep",
-    "LUFactors",
-    "MatrixDigraph",
     "MatrixParseError",
     "MonoboundError",
     "MonotoneCheck",
@@ -127,12 +112,8 @@ __all__ = [
     "bouchon_quantities",
     "buffoni_vstar",
     "build_block_laplacian",
-    "build_digraph",
     "classify_matrix",
     "corollary_bound",
-    "determinant",
-    "distance",
-    "distances_from",
     "format_dense",
     "gavrilov_check",
     "inverse",
@@ -144,8 +125,6 @@ __all__ = [
     "is_quasi_doubly_stochastic",
     "is_strictly_diag_dominant",
     "is_z_matrix",
-    "lu_factor",
-    "lu_solve",
     "main_bound",
     "parse_matrix",
     "read_matrix",

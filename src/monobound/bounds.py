@@ -34,7 +34,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .graphdist import bouchon_M
-from .linalg import _eliminate, as_square_matrix, inverse, lu_factor
+from .linalg import _unit_scale, as_square_matrix, inverse
 
 #: Row/column sums of the inverse at or below this times the largest one in
 #: magnitude are rejected as zero marginals (the ratios would blow up).
@@ -124,16 +124,25 @@ def sigma_via_determinant(a) -> float:
     """Total of the inverse entries from two determinants:
     det(A + J) / det(A) - 1, with J the all-ones matrix.
 
-    The quotient is taken by :func:`_chain_over_det` over the two LU
-    diagonals, so it survives determinants that overflow or underflow.
-    Raises :class:`SingularMatrix` when ``a`` is singular; A + J may be
-    singular (the total is then exactly -1).
+    The total is taken for ``A`` scaled by the power of two that brings
+    ``max|A|`` into [0.5, 1) and scaled back, so J is neither lost against a
+    huge ``A`` nor swamps a tiny one, and ``cA`` gives exactly ``1/c`` times
+    the total for ``c`` a power of two.  Both determinants come from ``numpy.linalg.slogdet`` and the
+    quotient is taken in sign-and-log form, so it survives determinants that
+    overflow or underflow.
+
+    Raises :class:`SingularMatrix` when ``a`` is singular under the
+    package's one rule, that of :func:`linalg.inverse`: unless
+    ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.  A + J may be singular
+    (the total is then exactly -1).
     """
     m = as_square_matrix(a)
-    factors = lu_factor(m)
-    shifted, _, shifted_sign = _eliminate(m + 1.0, raise_on_singular=False)
-    sign = factors.sign * shifted_sign
-    return _chain_over_det(np.diagonal(shifted), np.diagonal(factors.upper), sign) - 1.0
+    inverse(m)  # raises SingularMatrix under the one rule
+    scale = _unit_scale(float(np.abs(m).max()))
+    sign, logdet = np.linalg.slogdet(m * scale)
+    shifted_sign, shifted_logdet = np.linalg.slogdet(m * scale + 1.0)
+    ratio = _signed_exp(float(sign * shifted_sign), float(shifted_logdet - logdet))
+    return (ratio - 1.0) * scale
 
 
 def _formula_value(numerator: float, denominator: float) -> float:
@@ -277,17 +286,8 @@ def _bouchon_bound(
     return BoundResult(value, "bouchon", "inf-norm", ok, detail)
 
 
-def _chain_over_det(chain: np.ndarray, pivots: np.ndarray, sign: int) -> float:
-    """prod(chain) / det for a block with LU pivots ``pivots`` and row
-    permutation sign ``sign``, from logarithms when the product or the
-    determinant overflows or underflows."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        product = float(np.prod(chain))
-        det = float(sign * np.prod(pivots))
-        if 0.0 < abs(product) < math.inf and 0.0 < abs(det) < math.inf:
-            return product / det
-        log_value = float(np.sum(np.log(np.abs(chain))) - np.sum(np.log(np.abs(pivots))))
-    sign *= float(np.prod(np.sign(pivots)) * np.prod(np.sign(chain)))
+def _signed_exp(sign: float, log_value: float) -> float:
+    """sign * exp(log_value), infinite once the exponential overflows."""
     try:
         return sign * math.exp(log_value)
     except OverflowError:
@@ -300,7 +300,15 @@ def tridiagonal_bound(a, l: int, k: int, tol: float = DEFAULT_MONOTONE_TOL) -> B
     A + h E_lk stays monotone exactly for h up to the returned value.
 
     The value is the product of the off-diagonal magnitudes bridging l and k
-    divided by the determinant of the principal block strictly between them.
+    divided by the determinant of the principal block B strictly between
+    them, both for ``A`` scaled by the power of two that brings ``max|A|``
+    into [0.5, 1) (so ``cA`` gives exactly ``c`` times the value for ``c`` a
+    power of two), and taken in sign-and-log form (``numpy.linalg.slogdet``),
+    so that neither over- nor underflows.
+
+    Raises :class:`SingularSubmatrix` when B is singular under the
+    package's one rule, that of :func:`linalg.inverse`: unless
+    ``SINGULARITY_RTOL * max|B| * max|B^-1| < 1``.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
@@ -322,14 +330,21 @@ def tridiagonal_bound(a, l: int, k: int, tol: float = DEFAULT_MONOTONE_TOL) -> B
         lo, hi = k + 1, l - 1
     block = m[lo : hi + 1, lo : hi + 1]
     try:
-        factors = lu_factor(block)
+        inverse(block)
     except SingularMatrix:
         raise SingularSubmatrix(
             f"principal block {lo}..{hi} strictly between the perturbed entry "
             "is singular"
         ) from None
-    # 0.0 first, so that a zero chain entry gives 0.0, never -0.0.
-    value = max(0.0, _chain_over_det(chain, np.diagonal(factors.upper), factors.sign))
+    if not np.all(chain):
+        # A zero chain entry gives 0.0, never -0.0, and no log(0).
+        value = 0.0
+    else:
+        scale = _unit_scale(float(np.abs(m).max()))
+        sign, logdet = np.linalg.slogdet(block * scale)
+        sign = float(sign * np.prod(np.sign(chain)))
+        log_chain = float(np.sum(np.log(np.abs(chain * scale))))
+        value = max(0.0, _signed_exp(sign, log_chain - float(logdet))) / scale
     ok = is_m_matrix(m, tol)
     detail = "tridiagonal M-matrix" if ok else "tridiagonal but not a (nonsingular) M-matrix"
     return BoundResult(value, "tridiagonal", "single-entry", ok, detail)

@@ -19,7 +19,7 @@ from .errors import (
     ZeroDiagonal,
 )
 from .graphdist import _offdiag_mask, _reach_powers
-from .linalg import as_square_matrix, determinant, inverse
+from .linalg import as_square_matrix, inverse
 
 #: Default slack for inverse nonnegativity: entries down to
 #: -tol * max|inverse entry| still count as nonnegative.
@@ -163,8 +163,9 @@ def verify_kuttler(a, m_cert, w) -> bool:
 
 
 def gavrilov_check(a, order: int) -> bool:
-    """Symmetric certificate: positive definiteness plus monotonicity of
-    every principal submatrix of the given order proves monotonicity.
+    """Symmetric certificate: positive definiteness (one Cholesky
+    factorization) plus monotonicity of every principal submatrix of the
+    given order proves monotonicity.
 
     Enumerates all C(n, order) principal submatrices, which is fine for n up
     to roughly a dozen.  Raises :class:`NotSymmetric` when A deviates from
@@ -177,9 +178,12 @@ def gavrilov_check(a, order: int) -> bool:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     if not 2 <= order < n:
         raise OrderOutOfRange(f"order must satisfy 2 <= order < {n}, got {order}")
-    for k in range(1, n + 1):
-        if determinant(m[:k, :k]) <= 0.0:
-            return False
+    try:
+        # Sylvester's criterion: Cholesky succeeds exactly when every
+        # leading principal minor is positive.
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
     for rows in combinations(range(n), order):
         idx = np.ix_(rows, rows)
         if not is_monotone(m[idx]):

@@ -1,39 +1,23 @@
 """Directed sparsity graph of a matrix (an edge for every off-diagonal
-nonzero): adjacency, distances, strong connectivity, and the maximum graph
-distance across a perturbation's support (the quantity the graph-distance
-norm bound raises to a power).
+nonzero): strong connectivity, and the maximum graph distance across a
+perturbation's support (the quantity the graph-distance norm bound raises
+to a power).
 
 Connectivity (:func:`classify.is_irreducible`) and the maximum distance come
 from boolean reachability products: ``R_k``, the pairs joined by a path of
 at most 2^k edges, is ``R_{k-1}`` squared as a float32 0/1 matmul
 thresholded at ``> 0`` (exact while n < 2^24), and binary lifting over the
 ``R_k`` gives exact distances.  Cost is O(n^3 log M) in BLAS for a maximum
-distance M.  The per-source BFS (:func:`distances_from`) is kept as the
-reference the tests compare against.
+distance M.  A per-source BFS in the tests is the reference these are
+compared against.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPerturbation, IndexOutOfRange, UnreachablePair
+from .errors import DimensionMismatch, EmptyPerturbation, UnreachablePair
 from .linalg import as_square_matrix
-
-
-@dataclass(frozen=True)
-class MatrixDigraph:
-    """Edge i -> j for every off-diagonal nonzero entry a_ij.
-
-    ``adjacency[i]`` lists out-neighbors of i in ascending order, never
-    including i itself.
-    """
-
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
 
 
 def _offdiag_mask(m: np.ndarray) -> np.ndarray:
@@ -41,46 +25,6 @@ def _offdiag_mask(m: np.ndarray) -> np.ndarray:
     mask = m != 0
     np.fill_diagonal(mask, False)
     return mask
-
-
-def build_digraph(a) -> MatrixDigraph:
-    """Sparsity digraph of a square matrix; self-loops are dropped."""
-    mask = _offdiag_mask(as_square_matrix(a))
-    adjacency = tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
-    return MatrixDigraph(n=mask.shape[0], adjacency=adjacency)
-
-
-def _check_node(g: MatrixDigraph, node: int) -> None:
-    if not 0 <= node < g.n:
-        raise IndexOutOfRange(f"node {node} outside 0..{g.n - 1}")
-
-
-def distances_from(g: MatrixDigraph, source: int) -> list[int | float]:
-    """BFS distances from ``source`` to every node; math.inf if unreachable.
-
-    Reference implementation: :func:`bouchon_M` and
-    :func:`classify.is_irreducible` use reachability products instead, and
-    the tests check them against this BFS.
-    """
-    _check_node(g, source)
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        i = queue.popleft()
-        for j in g.adjacency[i]:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return [d if d >= 0 else math.inf for d in dist]
-
-
-def distance(g: MatrixDigraph, i: int, j: int) -> int | float:
-    """Shortest directed path length from i to j (0 on the diagonal,
-    math.inf when j is unreachable), by the reference BFS."""
-    _check_node(g, i)
-    _check_node(g, j)
-    return distances_from(g, i)[j]
 
 
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,12 +19,14 @@ from monobound import (
     IndexOutOfRange,
     NotTridiagonal,
     SingularMatrix,
+    SingularSubmatrix,
     ZeroMarginal,
     bisection_vstar,
     bouchon_bound,
     bouchon_quantities,
     buffoni_vstar,
     corollary_bound,
+    inverse,
     inverse_stats,
     is_monotone,
     main_bound,
@@ -85,6 +87,37 @@ def test_sigma_via_determinant_survives_overflowing_determinants():
         warnings.simplefilter("error")
         total = sigma_via_determinant(a)
     assert total == pytest.approx(inverse_stats(a).total, rel=1e-8)
+
+
+def _hilbert(n):
+    return 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_sigma_via_determinant_refuses_what_inverse_refuses(n):
+    # One singularity rule: the Hilbert matrix of order 11 (condition about
+    # 5e14) is refused by inverse and by the determinant route alike.
+    h = _hilbert(n)
+    if n <= 10:
+        inverse(h)
+        sigma_via_determinant(h)
+    else:
+        with pytest.raises(SingularMatrix, match="singular"):
+            inverse(h)
+        with pytest.raises(SingularMatrix, match="singular"):
+            sigma_via_determinant(h)
+
+
+@pytest.mark.parametrize("k", [-600, -300, -53, -1, 1, 53, 300, 600])
+def test_sigma_via_determinant_is_scale_covariant(k):
+    # The total of the inverse entries of cA is the total for A over c.
+    # det(cA) and det(cA + J) over- or underflow at |k| = 600.
+    rng = np.random.default_rng(71)
+    c = 2.0**k
+    for a in (SAMPLE_A, random_sdd_m_matrix(rng, 7), random_tridiagonal_m_matrix(rng, 12)):
+        assert sigma_via_determinant(c * a) == pytest.approx(
+            sigma_via_determinant(a) / c, rel=1e-12
+        )
 
 
 def test_main_bound_sample(sample_a):
@@ -296,6 +329,71 @@ def test_tridiagonal_zero_chain_entry_gives_positive_zero():
     # The chain for (2, 0) is (-0.0, 1.0): the value is 0, reported as 0.0.
     a = np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     assert math.copysign(1.0, tridiagonal_bound(a, 2, 0).value) == 1.0
+
+
+def test_tridiagonal_singular_block_raises():
+    # The block strictly between (0, 3) is [[1, 1], [1, 1]].
+    a = np.array(
+        [
+            [2.0, -1.0, 0.0, 0.0],
+            [-1.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0, 1.0, -1.0],
+            [0.0, 0.0, -1.0, 2.0],
+        ]
+    )
+    with pytest.raises(SingularSubmatrix, match="principal block 1..2"):
+        tridiagonal_bound(a, 0, 3)
+
+
+@pytest.mark.parametrize("k", range(10, 18))
+def test_tridiagonal_block_follows_the_inverse_singularity_rule(k):
+    # The block strictly between (0, 3) is [[1, -1], [0, 10^-k]], with
+    # max|B| * max|B^-1| = 10^k: inverse refuses it from k = 14 on, and so
+    # must tridiagonal_bound.
+    a = np.array(
+        [
+            [2.0, -1.0, 0.0, 0.0],
+            [-1.0, 1.0, -1.0, 0.0],
+            [0.0, 0.0, 10.0**-k, -1.0],
+            [0.0, 0.0, -1.0, 2.0],
+        ]
+    )
+    if k <= 13:
+        inverse(a[1:3, 1:3])
+        assert tridiagonal_bound(a, 0, 3).value == pytest.approx(10.0**k, rel=1e-12)
+    else:
+        with pytest.raises(SingularMatrix):
+            inverse(a[1:3, 1:3])
+        with pytest.raises(SingularSubmatrix):
+            tridiagonal_bound(a, 0, 3)
+
+
+@pytest.mark.parametrize("k", [-600, -300, -53, -1, 1, 53, 300, 600])
+def test_tridiagonal_is_scale_covariant(k):
+    # The chain product and the block determinant of cA scale by c^(j+1)
+    # and c^j for a block of order j, so the value scales by c; at
+    # |k| = 600 both over- or underflow.
+    rng = np.random.default_rng(73)
+    c = 2.0**k
+    for n in (5, 12, 30):
+        a = random_tridiagonal_m_matrix(rng, n)
+        for l, j in [(0, n - 1), (n - 1, 0), (1, 3)]:
+            value = tridiagonal_bound(a, l, j).value
+            assert tridiagonal_bound(c * a, l, j).value == pytest.approx(c * value, rel=1e-12)
+
+
+def test_tridiagonal_reversal_maps_the_entry():
+    # J A J reverses rows and columns, so (l, k) of A is (n-1-l, n-1-k) there.
+    rng = np.random.default_rng(83)
+    for n in (4, 9, 20):
+        a = random_tridiagonal_m_matrix(rng, n)
+        reversed_a = a[::-1, ::-1]
+        for l in range(n):
+            for k in range(n):
+                if abs(l - k) >= 2:
+                    assert tridiagonal_bound(reversed_a, n - 1 - l, n - 1 - k).value == (
+                        pytest.approx(tridiagonal_bound(a, l, k).value, rel=1e-12)
+                    )
 
 
 def test_tridiagonal_errors():

@@ -181,6 +181,15 @@ def test_gavrilov_fails_on_indefinite():
     assert not gavrilov_check(np.diag([1.0, -1.0, 1.0]), 2)
 
 
+def test_gavrilov_needs_the_last_leading_minor_positive():
+    # 1.9 I - 0.9 J: every 2x2 principal submatrix is a monotone M-matrix
+    # and the first two leading minors are positive, but the determinant is
+    # -2.888, so the matrix is not positive definite (and not monotone).
+    a = 1.9 * np.eye(3) - 0.9 * np.ones((3, 3))
+    assert not gavrilov_check(a, 2)
+    assert not is_monotone(a)
+
+
 def test_gavrilov_detects_bad_submatrix():
     # positive definite, but the {0,1} block has a positive off-diagonal
     a = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]])

@@ -1,7 +1,10 @@
 """End-to-end command line checks via main() with captured stdout."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +372,50 @@ def test_singular_matrix(capsys, tmp_path):
     rc, out, err = run(capsys, ["bounds", str(path)])
     assert rc == 3
     assert "singular" in err.lower()
+
+
+def test_tridiag_singular_block(capsys, tmp_path):
+    # The principal block strictly between entry (1, 4) is [[1, 1], [1, 1]].
+    path = tmp_path / "t.txt"
+    path.write_text("4\n2 -1 0 0\n-1 1 1 0\n0 1 1 -1\n0 0 -1 2\n")
+    rc, out, err = run(capsys, ["tridiag", str(path), "1", "4"])
+    assert rc == 3
+    assert out == ""
+    assert "principal block 1..2" in err and "singular" in err
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from monobound.cli import main
+
+a, e = sys.argv[1:]
+for argv in (
+    ["classify", a],
+    ["bounds", a, "--which", "all"],
+    ["vstar", a, e, "--method", "both"],
+    ["tridiag", a, "1", "3"],
+    ["laplacian", "--s", "2", "--t", "3", "--d", "1"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+if "scipy" in sys.modules:
+    sys.exit("scipy was imported")
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy may be installed where the tests run; the package must not use it.
+    a, e = tmp_path / "a.txt", tmp_path / "e.txt"
+    a.write_text("3\n2 -1 0\n-1 2 -1\n0 -1 2\n")
+    e.write_text("3 1\n1 3 1.0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(a), str(e)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_plain_rendering(capsys, sample_file):

@@ -1,6 +1,12 @@
-"""Sparsity-graph construction, distances, and the max-distance statistic."""
+"""Sparsity-graph distances and the max-distance statistic.
+
+``build_digraph`` and ``distances_from`` below are a per-source BFS over an
+adjacency list, kept here as the reference that the reachability products
+of ``bouchon_M`` and ``is_irreducible`` are compared against."""
 
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -15,11 +21,56 @@ from monobound import (
     IndexOutOfRange,
     UnreachablePair,
     bouchon_M,
-    build_digraph,
-    distance,
-    distances_from,
     is_irreducible,
 )
+
+
+@dataclass(frozen=True)
+class MatrixDigraph:
+    """Edge i -> j for every off-diagonal nonzero entry a_ij.
+
+    ``adjacency[i]`` lists out-neighbors of i in ascending order, never
+    including i itself.
+    """
+
+    n: int
+    adjacency: tuple[tuple[int, ...], ...]
+
+
+def build_digraph(a) -> MatrixDigraph:
+    """Sparsity digraph of a square matrix; self-loops are dropped."""
+    mask = np.asarray(a, dtype=float) != 0.0
+    np.fill_diagonal(mask, False)
+    adjacency = tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
+    return MatrixDigraph(n=mask.shape[0], adjacency=adjacency)
+
+
+def _check_node(g: MatrixDigraph, node: int) -> None:
+    if not 0 <= node < g.n:
+        raise IndexOutOfRange(f"node {node} outside 0..{g.n - 1}")
+
+
+def distances_from(g: MatrixDigraph, source: int) -> list[int | float]:
+    """BFS distances from ``source`` to every node; math.inf if unreachable."""
+    _check_node(g, source)
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        i = queue.popleft()
+        for j in g.adjacency[i]:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return [d if d >= 0 else math.inf for d in dist]
+
+
+def distance(g: MatrixDigraph, i: int, j: int) -> int | float:
+    """Shortest directed path length from i to j (0 on the diagonal,
+    math.inf when j is unreachable)."""
+    _check_node(g, i)
+    _check_node(g, j)
+    return distances_from(g, i)[j]
 
 
 def test_adjacency_of_sample():

@@ -1,7 +1,8 @@
 """High-precision oracle: a 50-digit mpmath inverse, independent of both the
-LAPACK inverse and the blocked elimination, checks the monotonicity verdict
-and the inverse statistics on small ill-conditioned inputs whose exact
-inverse has one entry at +-1e-8 of its largest."""
+LAPACK inverse and the reference elimination of ``test_linalg.py``, checks
+the monotonicity verdict and the inverse statistics on small
+ill-conditioned inputs whose exact inverse has one entry at +-1e-8 of its
+largest."""
 
 import numpy as np
 from hypothesis import assume, given, settings

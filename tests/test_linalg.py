@@ -1,86 +1,88 @@
-"""Factorization, inverse and determinant checks.
+"""Inverse checks.
 
-``lu_solve(lu_factor(a), I)``, the blocked elimination, is the labelled
-reference that the LAPACK-backed ``inverse`` is compared with."""
+``lu_factor`` below is an unblocked Python elimination with partial
+pivoting, kept here as the second engine that the LAPACK-backed ``inverse``
+is compared with, beside the 50-digit mpmath oracle of
+``test_high_precision.py``."""
 
 import numpy as np
 import pytest
 from conftest import SAMPLE_A, SAMPLE_A_INV_4DP, random_well_conditioned
 
-from monobound import (
-    DimensionMismatch,
-    SingularMatrix,
-    determinant,
-    inverse,
-    is_monotone,
-    linalg,
-    lu_factor,
-    lu_solve,
-)
+from monobound import DimensionMismatch, SingularMatrix, inverse, is_monotone, linalg
+
+
+def lu_factor(a):
+    """Reference: P A = L U, returned as (L, U, perm, sign) with A[perm] = L U.
+    The pivot is the largest magnitude, the lowest row index on ties, and a
+    pivot at or below SINGULARITY_RTOL * max|A| raises SingularMatrix."""
+    m = np.array(a, dtype=float)
+    n = m.shape[0]
+    threshold = linalg.SINGULARITY_RTOL * np.max(np.abs(m))
+    perm, sign = np.arange(n), 1
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(m[col:, col])))
+        if abs(m[piv, col]) <= threshold:
+            raise SingularMatrix(f"pivot in column {col} is at or below {threshold:.3e}")
+        if piv != col:
+            m[[col, piv]], perm[[col, piv]], sign = m[[piv, col]], perm[[piv, col]], -sign
+        m[col + 1 :, col] /= m[col, col]
+        m[col + 1 :, col + 1 :] -= np.outer(m[col + 1 :, col], m[col, col + 1 :])
+    return np.tril(m, -1) + np.eye(n), np.triu(m), perm, sign
+
+
+def _reference_inverse(a):
+    """Reference: forward and back substitution of lu_factor against I."""
+    lower, upper, perm, _ = lu_factor(a)
+    x = np.eye(len(perm))[perm]
+    for i in range(len(perm)):
+        x[i] -= lower[i, :i] @ x[:i]
+    for i in reversed(range(len(perm))):
+        x[i] = (x[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
+    return x
 
 
 def test_identity_factors_trivially():
-    f = lu_factor(np.eye(3))
-    assert np.array_equal(f.lower, np.eye(3))
-    assert np.array_equal(f.upper, np.eye(3))
-    assert list(f.perm) == [0, 1, 2]
-    assert f.sign == 1
+    lower, upper, perm, sign = lu_factor(np.eye(3))
+    assert np.array_equal(lower, np.eye(3))
+    assert np.array_equal(upper, np.eye(3))
+    assert list(perm) == [0, 1, 2]
+    assert sign == 1
 
 
 def test_antidiagonal_needs_one_swap():
-    f = lu_factor([[0.0, 1.0], [1.0, 0.0]])
-    assert f.sign == -1
-    assert list(f.perm) == [1, 0]
+    _, _, perm, sign = lu_factor([[0.0, 1.0], [1.0, 0.0]])
+    assert sign == -1
+    assert list(perm) == [1, 0]
 
 
 def test_factors_reconstruct_sample():
-    f = lu_factor(SAMPLE_A)
-    assert np.max(np.abs(SAMPLE_A[f.perm] - f.lower @ f.upper)) <= 1e-12
+    lower, upper, perm, _ = lu_factor(SAMPLE_A)
+    assert np.max(np.abs(SAMPLE_A[perm] - lower @ upper)) <= 1e-12
 
 
 def test_pivot_ties_break_low_and_repeat_bit_identically():
     ties = np.array([[2.0, 1.0], [2.0, 3.0]])
     f1 = lu_factor(ties)
     f2 = lu_factor(ties)
-    assert f1.perm[0] == 0  # tied magnitudes resolve to the lowest row index
-    assert np.array_equal(f1.lower, f2.lower)
-    assert np.array_equal(f1.upper, f2.upper)
-    assert np.array_equal(f1.perm, f2.perm)
+    assert f1[2][0] == 0  # tied magnitudes resolve to the lowest row index
+    for x, y in zip(f1[:3], f2[:3]):
+        assert np.array_equal(x, y)
 
 
 def test_singular_raises():
-    with pytest.raises(SingularMatrix):
-        lu_factor([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        lu_factor(np.zeros((2, 2)))
+    for a in ([[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))):
+        with pytest.raises(SingularMatrix):
+            inverse(a)
+        with pytest.raises(SingularMatrix):
+            lu_factor(a)
 
 
 def test_rejects_nonsquare_and_nonfinite():
     with pytest.raises(DimensionMismatch):
-        lu_factor(np.ones((2, 3)))
+        inverse(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
-def test_lu_solve_vector_and_matrix():
-    rng = np.random.default_rng(7)
-    a = random_well_conditioned(rng, 6)
-    f = lu_factor(a)
-    b = rng.normal(size=6)
-    x = lu_solve(f, b)
-    assert x.shape == (6,)
-    assert np.allclose(a @ x, b, atol=1e-10)
-    bs = rng.normal(size=(6, 4))
-    xs = lu_solve(f, bs)
-    assert xs.shape == (6, 4)
-    assert np.allclose(a @ xs, bs, atol=1e-10)
-    with pytest.raises(DimensionMismatch):
-        lu_solve(f, np.ones(5))
-
-
-def _reference_inverse(a):
-    """Reference: the blocked elimination's solve against the identity."""
-    return lu_solve(lu_factor(a), np.eye(len(a)))
+        inverse(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_inverse_matches_reference_values():
@@ -169,86 +171,47 @@ def test_inverse_repeats_bit_identically():
         assert np.array_equal(inverse(a), inverse(a.copy()))
 
 
+
+
+def _reference_determinant(a):
+    _, upper, _, sign = lu_factor(a)
+    return sign * float(np.prod(np.diagonal(upper)))
+
+
 def test_determinant_examples():
-    assert determinant(np.eye(4)) == 1.0
-    assert determinant(np.diag([2.0, 3.0, 4.0])) == pytest.approx(24.0)
-    assert determinant(SAMPLE_A) == pytest.approx(3.32, rel=1e-12)
-
-
-def test_determinant_never_raises_on_singular():
-    assert determinant(np.zeros((3, 3))) == 0.0
-    assert determinant([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0, abs=1e-12)
+    assert _reference_determinant(np.eye(4)) == 1.0
+    assert _reference_determinant(np.diag([2.0, 3.0, 4.0])) == pytest.approx(24.0)
+    assert _reference_determinant(SAMPLE_A) == pytest.approx(3.32, rel=1e-12)
 
 
 def test_determinant_of_inverse_is_reciprocal():
     rng = np.random.default_rng(13)
     for _ in range(20):
         a = random_well_conditioned(rng, 5)
-        assert determinant(a) * determinant(inverse(a)) == pytest.approx(1.0, rel=1e-8)
+        product = _reference_determinant(a) * _reference_determinant(inverse(a))
+        assert product == pytest.approx(1.0, rel=1e-8)
 
 
-def _unblocked_perm_sign(a):
-    """Reference: plain column-by-column elimination with the same pivot rule
-    (largest magnitude, lowest row index on ties) and no blocking."""
-    m = np.array(a, dtype=float)
-    n = m.shape[0]
-    perm = np.arange(n)
-    sign = 1
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            perm[[col, piv]] = perm[[piv, col]]
-            sign = -sign
-        if m[col, col] != 0.0:
-            m[col + 1 :, col] /= m[col, col]
-            m[col + 1 :, col + 1 :] -= np.outer(m[col + 1 :, col], m[col, col + 1 :])
-    return perm, sign
-
-
-BLOCK = linalg.BLOCK
-
-
-@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 225])
-def test_blocked_factor_matches_unblocked_pivoting(n):
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 67, 225])
+def test_inverse_matches_reference_elimination(n):
     rng = np.random.default_rng(n)
     # Gaussian entries swap rows in most columns; the diagonally dominant
     # matrix in few or none.
     for a in (rng.normal(size=(n, n)), random_well_conditioned(rng, n)):
-        f = lu_factor(a)
-        perm, sign = _unblocked_perm_sign(a)
-        assert np.array_equal(f.perm, perm)
-        assert f.sign == sign
+        lower, upper, perm, _ = lu_factor(a)
         scale = np.max(np.abs(a))
-        assert np.max(np.abs(a[f.perm] - f.lower @ f.upper)) <= 1e-13 * n * scale
-        expected = lu_solve(f, np.eye(n))
+        assert np.max(np.abs(a[perm] - lower @ upper)) <= 1e-13 * n * scale
+        expected = _reference_inverse(a)
         assert np.max(np.abs(inverse(a) - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
-def test_pivot_tie_in_second_panel_breaks_low():
-    # n = BLOCK + 4 factors as panels of 4 and BLOCK columns.  In
-    # [[I, C], [D, B]] with |D| <= 1/2 the first panel keeps its diagonal
-    # pivots and leaves the Schur complement S = B - D C for the second
-    # panel; S's first column ties rows 1 and 2 (magnitude 3).  Halves times
-    # small integers keep every step exact.
-    rng = np.random.default_rng(5)
-    s = np.diag(np.full(BLOCK, 8.0))
-    s[:4, 0] = [1.0, -3.0, 3.0, 2.0]
-    c = rng.integers(-2, 3, size=(4, BLOCK)).astype(float)
-    d = rng.integers(-1, 2, size=(BLOCK, 4)) / 2.0
-    a = np.block([[np.eye(4), c], [d, s + d @ c]])
-    f = lu_factor(a)
-    assert list(f.perm[:5]) == [0, 1, 2, 3, 5]
-    assert f.upper[4, 4] == -3.0
-    assert np.array_equal(f.perm, _unblocked_perm_sign(a)[0])
-
-
-def test_zero_pivot_in_later_panel():
-    # Panels of 3, BLOCK and BLOCK columns: column BLOCK + 3 opens the third.
-    # A zero column stays exactly zero through every update, so its pivot is 0.
-    n, col = 2 * BLOCK + 3, BLOCK + 3
-    a = random_well_conditioned(np.random.default_rng(3), n)
-    a[:, col] = 0.0
-    with pytest.raises(SingularMatrix, match=f"in column {col} "):
-        lu_factor(a)
-    assert determinant(a) == 0.0
+@pytest.mark.parametrize("k", [-257, -256, -255, -254, 255, 256, 257, 258])
+def test_inverse_scaling_is_bit_exact_on_both_sides_of_the_window(k):
+    # max|A| lies in [0.5, 1), so max|2^k A| lies in [2^(k-1), 2^k): inverse
+    # passes 2^k A to LAPACK as it is for -255 <= k <= 256 and scales it
+    # back to A outside.  Either way the result is inverse(A) / 2^k exactly.
+    rng = np.random.default_rng(257)
+    for n in (3, 40, 225):
+        a = random_well_conditioned(rng, n)
+        a *= 2.0 ** -np.frexp(np.abs(a).max())[1]
+        assert np.array_equal(inverse(2.0**k * a), inverse(a) / 2.0**k)
