@@ -106,7 +106,14 @@ def inverse_stats(a) -> InverseStats:
     marginals = np.abs(np.concatenate((row_sums, col_sums)))
     if np.any(marginals <= MARGINAL_FLOOR * marginals.max()):
         raise ZeroMarginal("a row or column sum of the inverse is numerically zero")
-    ratios = inv / np.outer(row_sums, col_sums)
+    # A product of two sums over- or underflows once A is scaled by about
+    # 2^+-512.  Scaled by the power of two t that brings the largest sum
+    # into [0.5, 1), every sum lies in (MARGINAL_FLOOR / 2, 1) in magnitude
+    # and no product can.  Scaling by t is exact: the ratios of t * inv are
+    # those of inv over t.
+    scale = _unit_scale(float(marginals.max()))
+    ratios = inv * scale
+    ratios /= np.outer(row_sums * scale, col_sums * scale)
     flat = int(np.argmin(ratios))
     n = inv.shape[0]
     loc = (flat // n, flat % n)
@@ -115,7 +122,7 @@ def inverse_stats(a) -> InverseStats:
         row_sums=row_sums,
         col_sums=col_sums,
         total=float(inv.sum()),
-        buffoni_number=float(ratios[loc]),
+        buffoni_number=float(ratios[loc]) * scale,
         ratio_argmin=loc,
     )
 

@@ -104,7 +104,12 @@ def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
 def _m_matrix_test(a, inv: np.ndarray, tol: float) -> tuple[bool, MonotoneCheck]:
     """:func:`is_m_matrix` for ``a`` with inverse ``inv``, and the witness."""
     witness = _monotone_check(inv, tol)
-    return is_z_matrix(a) and witness.monotone, witness
+    return _m_matrix_rule(is_z_matrix(a), witness), witness
+
+
+def _m_matrix_rule(z_matrix: bool, witness: MonotoneCheck) -> bool:
+    """A nonsingular M-matrix: a Z-matrix whose inverse is nonnegative."""
+    return z_matrix and witness.monotone
 
 
 def is_strictly_diag_dominant(a) -> bool:
@@ -120,12 +125,15 @@ def is_irreducible(a) -> bool:
 
 def is_irreducibly_diag_dominant(a) -> bool:
     """Irreducible, all ratios at most one, at least one strictly below."""
-    sigma = sigma_vector(a)
-    return (
-        bool(np.all(sigma <= 1.0))
-        and len(strict_dominance_set(sigma)) > 0
-        and is_irreducible(a)
-    )
+    m = as_square_matrix(a)
+    return _irreducible_dominance_rule(sigma_vector(m), lambda: is_irreducible(m))
+
+
+def _irreducible_dominance_rule(sigma: np.ndarray, irreducible) -> bool:
+    """Irreducible dominance from the dominance ratios ``sigma``: all at most
+    one, at least one strictly below, and ``irreducible()`` true.  That call
+    reads the sparsity graph, so it is made only when the ratios pass."""
+    return bool(np.all(sigma <= 1.0)) and bool(np.any(sigma < 1.0)) and irreducible()
 
 
 def is_quasi_doubly_stochastic(a) -> bool:
@@ -220,12 +228,10 @@ def classify_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> ClassificationRepor
     irreducible = is_irreducible(m)
     return ClassificationReport(
         is_z_matrix=z,
-        is_m_matrix=z and witness.monotone,
+        is_m_matrix=_m_matrix_rule(z, witness),
         is_monotone=witness.monotone,
         is_strictly_diag_dominant=bool(np.all(sigma < 1.0)),
-        is_irreducibly_diag_dominant=(
-            bool(np.all(sigma <= 1.0)) and len(strict) > 0 and irreducible
-        ),
+        is_irreducibly_diag_dominant=_irreducible_dominance_rule(sigma, lambda: irreducible),
         is_irreducible=irreducible,
         is_quasi_doubly_stochastic=is_quasi_doubly_stochastic(m),
         sigma=sigma,

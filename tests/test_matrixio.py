@@ -2,6 +2,8 @@
 
 from unittest import mock
 
+import time
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -153,8 +155,11 @@ def _outcome(text):
 
 
 def _per_token_outcome(text):
-    """:func:`_outcome` with the numpy path switched off: the reference."""
-    with mock.patch.object(matrixio, "_dense_rows_numpy", return_value=None):
+    """:func:`_outcome` with both numpy paths switched off: the reference."""
+    with (
+        mock.patch.object(matrixio, "_dense_rows_numpy", return_value=None),
+        mock.patch.object(matrixio, "_coord_numpy", return_value=None),
+    ):
         return _outcome(text)
 
 
@@ -231,4 +236,160 @@ def dense_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(dense_texts())
 def test_numpy_path_agrees_with_per_token_parser(text):
+    assert _outcome(text) == _per_token_outcome(text)
+
+
+def test_numpy_path_reads_plain_coordinate_text():
+    # Tabs, a leading zero, and values in every form the plain grammar takes.
+    text = "3\t5\n1 1 -0\n01 2 .5\n2\t3 5.\n3 1 +.5e-3\n3 3 1E-400\n"
+    fast = matrixio._coord_numpy(text)
+    assert fast is not None
+    assert fast.view(np.uint64).tolist() == _per_token_outcome(text)
+    assert np.signbit(fast[0, 0]) and fast[0, 1] == 0.5 and fast[2, 0] == 5e-4
+    assert np.array_equal(matrixio._coord_numpy("2 0\n"), np.zeros((2, 2)))
+
+
+PLAIN = np.array([[1.5, 0.0], [-2.0, 0.0]])
+
+# One text per way plain coordinate text can be left: each goes to the
+# per-token parser, which returns PLAIN or raises the message given.
+COORD_FALLBACKS = {
+    "comment": ("# c\n2 2\n1 1 1.5\n2 1 -2\n", PLAIN),
+    "blank_line": ("2 2\n\n1 1 1.5\n2 1 -2\n", PLAIN),
+    "crlf": ("2 2\r\n1 1 1.5\r\n2 1 -2\r\n", PLAIN),
+    "leading_blank": ("2 2\n 1 1 1.5\n2 1 -2\n", PLAIN),
+    "trailing_blank": ("2 2\n1 1 1.5 \n2 1 -2\n", PLAIN),
+    "no_final_newline": ("2 2\n1 1 1.5\n2 1 -2", PLAIN),
+    "unicode_space": ("2 2\n1\xa01 1.5\n2 1 -2\n", PLAIN),
+    "signed_index": ("2 2\n+1 1 1.5\n2 1 -2\n", PLAIN),
+    "underscore_index": ("2 2\n0_1 1 1.5\n2 1 -2\n", PLAIN),
+    "non_ascii_index": ("2 2\n١ 1 1.5\n2 1 -2\n", PLAIN),
+    "sixteen_digit_index": ("2 2\n0000000000000001 1 1.5\n2 1 -2\n", PLAIN),
+    "underscore_value": ("2 2\n1 1 1_5e-1\n2 1 -2\n", PLAIN),
+    "real_index": (
+        "2 2\n1.0 1 1.5\n2 1 -2\n",
+        "<input>:2: row index must be an integer, got '1.0'",
+    ),
+    "duplicate": (
+        "2 2\n1 1 1.5\n1 1 -2\n",
+        "<input>:3: duplicate entry for position (1, 1)",
+    ),
+    "zero_index": ("2 2\n1 1 1.5\n0 1 -2\n", "<input>:3: row index 0 outside 1..2"),
+    "index_past_n": ("2 2\n1 3 1.5\n2 1 -2\n", "<input>:2: column index 3 outside 1..2"),
+    "too_few_lines": ("2 3\n1 1 1.5\n2 1 -2\n", "<input>: expected 3 entry lines, found 2"),
+    "too_many_lines": (
+        "2 1\n1 1 1.5\n2 1 -2\n",
+        "<input>:3: unexpected content after 1 entry lines",
+    ),
+    "zero_dimension": ("0 0\n", "<input>:1: dimension must be positive, got 0"),
+    "overflowing_value": (
+        "2 2\n1 1 1e400\n2 1 -2\n",
+        "<input>:2: entries must be finite, got '1e400'",
+    ),
+    "infinite_value": (
+        "2 2\n1 1 1.5\n2 1 -inf\n",
+        "<input>:3: entries must be finite, got '-inf'",
+    ),
+    "hexadecimal_value": (
+        "2 2\n1 1 0x10\n2 1 -2\n",
+        "<input>:2: expected a real number, got '0x10'",
+    ),
+    "value_with_inner_sign": (
+        "2 2\n1 1 1-2\n2 1 -2\n",
+        "<input>:2: expected a real number, got '1-2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, expected", COORD_FALLBACKS.values(), ids=COORD_FALLBACKS.keys())
+def test_coordinate_fallback(text, expected):
+    assert matrixio._coord_numpy(text) is None
+    if isinstance(expected, str):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(text)
+        assert str(err.value) == expected
+    else:
+        assert np.array_equal(parse_matrix(text), expected)
+
+
+# Long enough that a quadratic match takes seconds, short enough that it
+# fails the test instead of hanging it (about 4 s against 0.1 ms on a
+# 2-vCPU 2.1 GHz VM; ten times longer would take minutes per case).
+LONG = 10_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 1\n" + "1" * LONG + " 1 1.0\n",
+        "2 1\n1 1 " + "1" * LONG + "x\n",
+        "2 1\n1 1 1." + "0" * LONG + "e5x\n",
+        "2 1\n1 1 -." + "0" * LONG + "1\n",
+        "2 1\n1 1 " + "1" * LONG + "\n",
+        f"2 {LONG // 8}\n" + "1 1 1.0\n" * (LONG // 8) + "x",
+    ],
+    ids=["index", "value_digits", "value_fraction", "small_value", "huge_value", "many_lines"],
+)
+def test_plain_form_check_is_linear_in_token_length(text):
+    # A grammar with two ways to split a run of digits would backtrack
+    # quadratically in the failing cases here.
+    start = time.perf_counter()
+    matrixio._coord_numpy(text)
+    assert time.perf_counter() - start < 0.5
+    assert _outcome(text) == _per_token_outcome(text)
+
+
+COORD_INDEX_SPLICES = ["+{}", "0{}", "{}.0", "{}_0", "0_{}", "١", "0", "{n1}", "0" * 15 + "{}"]
+COORD_VALUE_SPLICES = [
+    "-0", ".5", "5.", "+.5e-3", "1e-400", "4.9e-324", "1e400", "1-2", "0x10", "inf", "nan",
+    "1_0", "1e", ".",
+]
+
+
+@st.composite
+def coord_texts(draw):
+    """Coordinate text of finite floats in repr or .17g form, then up to three
+    changes, each of which may leave the plain form: an awkward index or
+    value token, a tab or Unicode separator, a CRLF, blank, comment or
+    leading-blank line, a duplicated position, a wrong header count or
+    dimension, or no final newline."""
+    n = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), unique=True))
+    fmt = draw(st.sampled_from([repr, "{:.17g}".format]))
+    lines = [[str(n), str(len(cells))]]
+    lines += [[str(i), str(j), fmt(draw(FINITE))] for i, j in cells]
+    seps = [" "] * len(lines)
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        change = draw(st.sampled_from(
+            ["index", "value", "sep", "end", "lead", "dup", "count", "dim", "final"]
+        ))
+        entry = row > 0
+        if change == "index" and entry:
+            col = draw(st.integers(0, 1))
+            splice = draw(st.sampled_from(COORD_INDEX_SPLICES))
+            lines[row][col] = splice.format(lines[row][col], n1=n + 1)
+        elif change == "value" and entry:
+            lines[row][2] = draw(st.sampled_from(COORD_VALUE_SPLICES))
+        elif change == "sep":
+            seps[row] = draw(st.sampled_from(["\t", "\xa0", "  ", " \t"]))
+        elif change == "end":
+            ends[row] = draw(st.sampled_from(["\r\n", " \n", "\n\n", "\n# c\n"]))
+        elif change == "lead":
+            lines[row][0] = " " + lines[row][0]
+        elif change == "dup" and row > 1:
+            lines[row][:2] = lines[row - 1][:2]
+        elif change == "count":
+            lines[0][1] = str(len(cells) + draw(st.sampled_from([-1, 1])))
+        elif change == "dim":
+            lines[0][0] = "0"
+        elif change == "final":
+            ends[-1] = ""
+    return "".join(sep.join(tokens) + end for tokens, sep, end in zip(lines, seps, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coord_texts())
+def test_coordinate_numpy_path_agrees_with_per_token_parser(text):
     assert _outcome(text) == _per_token_outcome(text)
