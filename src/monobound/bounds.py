@@ -113,6 +113,9 @@ def inverse_stats(a) -> InverseStats:
     # those of inv over t.
     scale = _unit_scale(float(marginals.max()))
     ratios = inv * scale
+    # The total can exceed the largest float where its scaled sum cannot;
+    # Python float division then gives inf without a numpy warning.
+    total = float(ratios.sum()) / scale
     ratios /= np.outer(row_sums * scale, col_sums * scale)
     flat = int(np.argmin(ratios))
     n = inv.shape[0]
@@ -121,7 +124,7 @@ def inverse_stats(a) -> InverseStats:
         inv=inv,
         row_sums=row_sums,
         col_sums=col_sums,
-        total=float(inv.sum()),
+        total=total,
         buffoni_number=float(ratios[loc]) * scale,
         ratio_argmin=loc,
     )

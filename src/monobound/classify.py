@@ -19,7 +19,7 @@ from .errors import (
     ZeroDiagonal,
 )
 from .graphdist import _offdiag_mask, _reach_powers
-from .linalg import as_square_matrix, inverse
+from .linalg import _window_scale, as_square_matrix, inverse
 
 #: Default slack for inverse nonnegativity: entries down to
 #: -tol * max|inverse entry| still count as nonnegative.
@@ -66,7 +66,7 @@ def _monotone_check(inv: np.ndarray, tol: float) -> MonotoneCheck:
     flat = int(np.argmin(inv))
     location = (flat // inv.shape[0], flat % inv.shape[0])
     value = float(inv[location])
-    slack = tol * float(np.max(np.abs(inv)))
+    slack = tol * float(max(inv.max(), -inv.min()))
     return MonotoneCheck(monotone=value >= -slack, location=location, value=value)
 
 
@@ -74,13 +74,19 @@ def sigma_vector(a) -> np.ndarray:
     """Dominance ratios: off-diagonal absolute row sums over |diagonal|.
 
     Raises :class:`ZeroDiagonal` when some diagonal entry is exactly zero.
+    The ratios are taken for ``A`` scaled by a power of two when ``max|A|``
+    lies outside [2^-256, 2^256), so a row sum near the largest float cannot
+    overflow.
     """
-    m = as_square_matrix(a)
-    diag = np.abs(np.diagonal(m))
+    magnitudes = np.abs(as_square_matrix(a))
+    scale = _window_scale(float(magnitudes.max()))
+    if scale != 1.0:
+        magnitudes *= scale
+    diag = np.diagonal(magnitudes)
     if np.any(diag == 0.0):
         row = int(np.flatnonzero(diag == 0.0)[0])
         raise ZeroDiagonal(f"diagonal entry {row} is zero; dominance ratios undefined")
-    off = np.sum(np.abs(m), axis=1) - diag
+    off = np.sum(magnitudes, axis=1) - diag
     return off / diag
 
 

@@ -42,6 +42,13 @@ def _unit_scale(amax: float) -> float:
     return 2.0 ** -max(math.frexp(amax)[1], -1022)
 
 
+def _window_scale(amax: float) -> float:
+    """1.0 when ``amax`` lies in [2^-256, 2^256), where sums and products of
+    a few entries stay far from over- and underflow; otherwise
+    :func:`_unit_scale`."""
+    return 1.0 if 2.0**-256 <= amax < 2.0**256 else _unit_scale(amax)
+
+
 def inverse(a) -> np.ndarray:
     """Inverse by LAPACK (``numpy.linalg.inv``).
 
@@ -62,7 +69,7 @@ def inverse(a) -> np.ndarray:
     amax = float(np.abs(m).max())
     # inv(sA) = inv(A) / s, and a power of two s scales exactly; bringing
     # max|A| near 1 keeps LAPACK's elimination from overflowing.
-    scale = 1.0 if 2.0**-256 <= amax < 2.0**256 else _unit_scale(amax)
+    scale = _window_scale(amax)
     try:
         inv = np.linalg.inv(m if scale == 1.0 else m * scale)
     except np.linalg.LinAlgError:
@@ -70,7 +77,7 @@ def inverse(a) -> np.ndarray:
     if scale != 1.0:
         with np.errstate(over="ignore"):
             inv *= scale
-    product = amax * float(np.abs(inv).max())
+    product = amax * float(max(inv.max(), -inv.min()))
     if not SINGULARITY_RTOL * product < 1.0:
         raise SingularMatrix(
             f"matrix is numerically singular: max|A| * max|A^-1| = {product:.3e} "

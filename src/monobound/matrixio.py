@@ -7,7 +7,7 @@ positions are an error.  Blank lines and lines whose first non-blank
 character is '#' are ignored everywhere.  A real is any token that Python's
 ``float()`` accepts and that is finite.
 
-Both formats have a numpy path, and the per-token parser is kept as the
+Both formats have numpy paths, and the per-token parser is kept as the
 fallback that produces every error message: wherever numpy's result is not
 kept, the text goes through the per-token parser, which returns the same
 matrix or raises the error that names the first bad line.
@@ -30,6 +30,20 @@ matrix or raises the error that names the first bad line.
   count, the index ranges and the absence of duplicates check out and every
   value is finite.  Any other coordinate text goes through the per-token
   parser alone.
+- Dense text of at least ``_PLAIN_DENSE_MIN_CHARS`` characters in its plain
+  form is converted exactly through integers, in blocks of whole rows.  The
+  plain form is the header "n" in ASCII digits and then n lines of n tokens,
+  each an optional "-", digits, "." and digits, separated by one space and
+  each line ended by a newline, with nothing else in the text: what ``repr``
+  writes for ``abs(x)`` in [1e-4, 1e16).  Each token's digits are read as
+  one integer w by ``np.fromstring(..., dtype=np.int64)``, and w / 10^k, k
+  the number of fraction digits, is rounded to the nearest double by integer
+  arithmetic, so the value is ``float(token)`` bit for bit.  A token whose w
+  reaches 10^18, or with more than 18 fraction digits, is converted by
+  ``float()``.  Any other dense text (shorter text, an exponent, an integer
+  token, ".5", "5.", "+", a tab, a run of spaces, a carriage return, a
+  comment, a blank line, non-ASCII text, no final newline) takes the
+  per-row path above.
 """
 
 from __future__ import annotations
@@ -60,6 +74,24 @@ _PLAIN_COORD = re.compile(
     r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\n)*)"
 )
 
+#: Plain dense text shorter than this keeps the per-row path, whose fixed
+#: cost is lower.  Measured on a 2-vCPU x86-64 VM with BLAS on one thread:
+#: in a loop of parses alone the two paths broke even near n = 16 (5 KB),
+#: but inside whole small_mixed ops (alternating in-process, 300 ops each)
+#: ops whose files held 8-16 KB of plain text took the same time either way
+#: (148/300 faster with the integer path), and those above 16 KB were 7%
+#: faster with it (193/300).
+_PLAIN_DENSE_MIN_CHARS = 2**14
+
+#: Plain dense text is converted in blocks of whole rows of about this many
+#: characters.  Temporaries that span the whole text (several MB at
+#: n = 200) make glibc return the heap to the OS and fault it back in on
+#: every op.  In a steady loop of bounds_dense ops on a 2-vCPU VM, blocks of
+#: 2^16 kept the parent's 325-480 minor faults per op; 2^18 took 530-870,
+#: 2^19 620-1,540 and the whole text 1,600-1,700 with the op 3 ms slower,
+#: while 2^15 paid 2 ms more in per-block overhead.
+_PLAIN_DENSE_BLOCK_CHARS = 2**16
+
 
 def read_matrix(path) -> np.ndarray:
     """Parse a matrix file; the header line decides the format."""
@@ -74,7 +106,9 @@ def parse_matrix(text: str, name: str = "<input>") -> np.ndarray:
     ("n nnz") coordinate text.  Errors raise :class:`MatrixParseError`
     with a "name:line:" prefix.
     """
-    out = _coord_numpy(text)
+    out = _coord_numpy(text, name)
+    if out is None:
+        out = _plain_dense_numpy(text)
     if out is not None:
         return out
     lines = _content_lines(text)
@@ -147,15 +181,15 @@ def _parse_dense(n: int, rows, name: str) -> np.ndarray:
     return out
 
 
-def _fromstring_each(strings) -> list[np.ndarray] | None:
-    """``np.fromstring(s, sep=" ")`` for each string, or None when a call
-    rejected a token.  numpy 2 raises ValueError on a bad token; numpy 1
+def _fromstring_each(strings, dtype=float) -> list[np.ndarray] | None:
+    """``np.fromstring(s, dtype, sep=" ")`` for each string, or None when a
+    call rejected a token.  numpy 2 raises ValueError on a bad token; numpy 1
     warns with DeprecationWarning and returns the values read so far, so the
     warning is made an error here."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            return [np.fromstring(s, sep=" ") for s in strings]
+            return [np.fromstring(s, dtype, sep=" ") for s in strings]
     except (ValueError, DeprecationWarning):
         return None
 
@@ -170,7 +204,126 @@ def _dense_rows_numpy(n: int, rows) -> np.ndarray | None:
     return out if np.isfinite(out).all() else None
 
 
-def _coord_numpy(text: str) -> np.ndarray | None:
+def _plain_dense_numpy(text: str) -> np.ndarray | None:
+    """Plain dense text (see the module docstring) of at least
+    ``_PLAIN_DENSE_MIN_CHARS`` characters converted by exact integer
+    arithmetic, or None when the other dense paths must decide."""
+    if len(text) < _PLAIN_DENSE_MIN_CHARS or text[-1] != "\n":
+        return None
+    start = text.find("\n") + 1
+    header = text[: start - 1]
+    if not (0 < len(header) <= 15 and header.isascii() and header.isdigit()):
+        return None
+    n = int(header)
+    # A token and its separator take at least 4 characters ("0.0 "), so the
+    # n^2 floats are allocated only for text that can hold n^2 tokens.
+    if n < 1 or len(text) - start < 4 * n * n:
+        return None
+    out = np.empty(n * n)
+    done = 0
+    while start < len(text):
+        end = text.find("\n", start + _PLAIN_DENSE_BLOCK_CHARS - 1) + 1 or len(text)
+        values = _plain_dense_block(text[start:end], n)
+        if values is None or done + values.size > out.size:
+            return None
+        out[done : done + values.size] = values
+        done += values.size
+        start = end
+    return out.reshape(n, n) if done == out.size else None
+
+
+def _plain_dense_block(block: str, n: int) -> np.ndarray | None:
+    """The values of ``block``, whole plain rows of n tokens, or None when it
+    is not plain."""
+    try:
+        raw = block.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    pos = np.flatnonzero(b < 48)
+    kind = b[pos]
+    # A token's bytes below "0" are an optional leading "-", one "." and its
+    # separator: " ", or "\n" after every n-th token and as the last byte.
+    # The one before each separator must be the dot (for a block that opens
+    # with a separator it is the final "\n", so that fails too).  A byte
+    # above "9" makes the integer read below fail.
+    at = np.flatnonzero(kind <= 32)
+    tokens = at.size
+    row = np.full(n, 32, dtype=np.uint8)
+    row[-1] = 10
+    if (
+        tokens == 0
+        or tokens % n
+        or pos[at[-1]] != b.size - 1
+        or not (kind[at].reshape(-1, n) == row).all()
+        or not (kind[at - 1] == 46).all()
+    ):
+        return None
+    seps, dots = pos[at], pos[at - 1]
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    starts[1:] = seps[:-1] + 1
+    # The bytes below "0" left over must all be minus signs opening a token,
+    # and digits must stand on both sides of each dot.
+    negative = b[starts] == 45
+    if (
+        np.count_nonzero(negative) != kind.size - 2 * tokens
+        or (dots - starts - negative < 1).any()
+        or (seps - dots < 2).any()
+    ):
+        return None
+    digits = _fromstring_each([raw.replace(b".", b"")], dtype=np.int64)
+    if digits is None or digits[0].size != tokens:
+        return None
+    # A token of more than 18 digits may have saturated at 2^63 - 1 or read
+    # -2^63, whose absolute value is 2^63 as unsigned; both are past 10^18.
+    w = np.abs(digits[0])
+    k = seps - dots - 1
+    exact = (w.view(np.uint64) < 10**18) & (k <= 18)
+    if exact.all():
+        values = _decimal_to_double(w, k)
+    else:
+        values = np.empty(tokens)
+        values[exact] = _decimal_to_double(w[exact], k[exact])
+        for i in np.flatnonzero(~exact):
+            values[i] = float(block[starts[i] + negative[i] : seps[i]])
+        if not np.isfinite(values).all():
+            return None
+    np.negative(values, out=values, where=negative)
+    return values
+
+
+#: For k = 0..18: 5^k; two steps of at most 21 bits that add up to t, where
+#: 2^t <= 5^k < 2^(t+1); and -(t + k).
+_POW5 = np.array([5**k for k in range(19)], dtype=np.int64)
+_POW5_BITS = [(5**k).bit_length() - 1 for k in range(19)]
+_STEPS = np.array([[min(t, 21) for t in _POW5_BITS], [max(t - 21, 0) for t in _POW5_BITS]])
+_EXPONENT = np.array([-(t + k) for k, t in enumerate(_POW5_BITS)], dtype=np.intc)
+
+
+def _decimal_to_double(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """w / 10^k correctly rounded, for int64 w in [0, 10^18) and k in 1..18
+    (w = 0 gives 0.0).
+
+    w / 10^k = (w / 5^k) 2^-k.  w is shifted to W in [2^61, 2^63), and
+    W 2^t / 5^k = Q + r / 5^k (2^t <= 5^k) is formed by one division and two
+    extension steps: r < 5^18 < 2^42, so r shifted by at most 21 bits fits,
+    and Q lies in [2^60, 2^63).  Setting Q's lowest bit when r > 0 keeps
+    the side of every rounding boundary (at least 8 bits are dropped), so
+    the int-to-float conversion rounds Q half to even as it would Q + r/5^k.
+    The result lies in [1e-18, 1e18), a normal double, so ``ldexp`` scales
+    it exactly.
+    """
+    shift = 63 - np.frexp(w.astype(np.float64))[1]
+    divisor = _POW5[k]
+    q, r = np.divmod(w << shift, divisor)
+    for step in _STEPS[:, k]:
+        more, r = np.divmod(r << step, divisor)
+        q = (q << step) | more
+    return np.ldexp((q | (r != 0)).astype(np.float64), _EXPONENT[k] - shift)
+
+
+def _coord_numpy(text: str, name: str = "<input>") -> np.ndarray | None:
     """Plain coordinate text converted by numpy, or None when the per-token
     parser must decide (also for any text that is not plain coordinate
     text).  The checks mirror :func:`_parse_coord`'s, so a matrix is
@@ -184,7 +337,7 @@ def _coord_numpy(text: str) -> np.ndarray | None:
         return None
     # Allocated where _parse_coord allocates it, so a dimension too large
     # for memory fails the same way on both paths.
-    out = np.zeros((n, n))
+    out = _zeros(n, 1, name)
     rows, cols, values = fields[0].reshape(nnz, 3).T
     in_range = (rows >= 1) & (rows <= n) & (cols >= 1) & (cols <= n)
     if not (in_range.all() and np.isfinite(values).all()):
@@ -202,6 +355,17 @@ def _coord_numpy(text: str) -> np.ndarray | None:
     return out
 
 
+def _zeros(n: int, lineno: int, name: str) -> np.ndarray:
+    """An n-by-n zero matrix; a dimension too large to allocate is an error
+    of the header line ``lineno``."""
+    try:
+        return np.zeros((n, n))
+    except (ValueError, MemoryError):
+        raise MatrixParseError(
+            f"{name}:{lineno}: dimension {n} is too large to allocate"
+        ) from None
+
+
 def _parse_coord(n: int, header: list[str], lines, name: str) -> np.ndarray:
     lineno = lines[0][0]
     nnz = _parse_int(header[1], lineno, name, "entry count")
@@ -214,7 +378,7 @@ def _parse_coord(n: int, header: list[str], lines, name: str) -> np.ndarray:
         raise MatrixParseError(
             f"{name}:{entries[nnz][0]}: unexpected content after {nnz} entry lines"
         )
-    out = np.zeros((n, n))
+    out = _zeros(n, lineno, name)
     seen: set[tuple[int, int]] = set()
     for lno, line in entries:
         tokens = line.split()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    SAMPLE_A,
     random_qds_matrix,
     random_sdd_m_matrix,
     random_symmetric_sdd_m_matrix,
@@ -22,6 +23,7 @@ from monobound import (
     is_quasi_doubly_stochastic,
     is_strictly_diag_dominant,
     is_z_matrix,
+    main_bound,
     sigma_vector,
     strict_dominance_set,
     verify_kuttler,
@@ -31,6 +33,22 @@ from monobound import (
 def test_sigma_of_sample(sample_a):
     assert np.allclose(sigma_vector(sample_a), [0.375, 2.0 / 7.0, 0.375])
     assert strict_dominance_set(sigma_vector(sample_a)) == (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-1023, 1023])
+def test_sigma_near_the_float_range_ends(k):
+    # Row sums of 2^1023 * SAMPLE_A overflow unless the ratios are taken at
+    # a smaller scale; the ratios themselves do not depend on the scale.
+    scaled = 2.0**k * SAMPLE_A
+    assert np.array_equal(sigma_vector(scaled), sigma_vector(SAMPLE_A))
+    report, reference = classify_matrix(scaled), classify_matrix(SAMPLE_A)
+    assert report.is_strictly_diag_dominant == reference.is_strictly_diag_dominant
+    assert report.is_irreducibly_diag_dominant == reference.is_irreducibly_diag_dominant
+    assert report.strict_set == reference.strict_set
+    bound, reference_bound = main_bound(scaled), main_bound(SAMPLE_A)
+    assert bound.preconditions_ok == reference_bound.preconditions_ok
+    assert bound.precondition_detail == reference_bound.precondition_detail
 
 
 def test_sigma_zero_diagonal():

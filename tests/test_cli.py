@@ -418,6 +418,17 @@ def test_no_command_imports_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("comment, line", [("", 1), ("# c\n", 2)])
+def test_dimension_too_large_to_allocate_is_a_parse_error(capsys, tmp_path, comment, line):
+    # n^2 float64 entries overflow the largest array size, so numpy refuses
+    # before allocating; with the comment the per-token parser allocates.
+    path = tmp_path / "big.txt"
+    path.write_text(comment + "99999999999999 0\n")
+    rc, out, err = run(capsys, ["classify", str(path)])
+    assert rc == 2 and out == ""
+    assert err == f"error: {path}:{line}: dimension 99999999999999 is too large to allocate\n"
+
+
 def test_plain_rendering(capsys, sample_file):
     rc, out, err = run(capsys, ["bounds", sample_file, "--plain"])
     assert rc == 0

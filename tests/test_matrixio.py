@@ -1,5 +1,6 @@
 """Text readers/writers for dense and coordinate matrix files."""
 
+from decimal import Decimal
 from unittest import mock
 
 import time
@@ -155,10 +156,11 @@ def _outcome(text):
 
 
 def _per_token_outcome(text):
-    """:func:`_outcome` with both numpy paths switched off: the reference."""
+    """:func:`_outcome` with every numpy path switched off: the reference."""
     with (
         mock.patch.object(matrixio, "_dense_rows_numpy", return_value=None),
         mock.patch.object(matrixio, "_coord_numpy", return_value=None),
+        mock.patch.object(matrixio, "_plain_dense_numpy", return_value=None),
     ):
         return _outcome(text)
 
@@ -393,3 +395,200 @@ def coord_texts(draw):
 @given(coord_texts())
 def test_coordinate_numpy_path_agrees_with_per_token_parser(text):
     assert _outcome(text) == _per_token_outcome(text)
+
+
+# Plain dense text: the exact integer path.
+
+GATE = matrixio._PLAIN_DENSE_MIN_CHARS
+
+
+def _plain_text(tokens, n):
+    """Dense text of the n*n ``tokens`` in the plain form."""
+    rows = (" ".join(tokens[r * n : (r + 1) * n]) for r in range(n))
+    return f"{n}\n" + "".join(row + "\n" for row in rows)
+
+
+def _integer_path(text, gate=GATE, block=matrixio._PLAIN_DENSE_BLOCK_CHARS):
+    """The integer path's result on ``text``: None means it declined."""
+    with (
+        mock.patch.object(matrixio, "_PLAIN_DENSE_MIN_CHARS", gate),
+        mock.patch.object(matrixio, "_PLAIN_DENSE_BLOCK_CHARS", block),
+    ):
+        return matrixio._plain_dense_numpy(text)
+
+
+def _assert_exact(text, **sizes):
+    """The integer path takes ``text`` and matches the per-token parser bit
+    for bit."""
+    fast = _integer_path(text, **sizes)
+    assert fast is not None
+    assert fast.view(np.uint64).tolist() == _per_token_outcome(text)
+
+
+def _fixed(x):
+    """``repr`` of x when it is in fixed notation, else a fixed rendering."""
+    text = repr(x)
+    return text if "e" not in text else f"{x:.20f}"
+
+
+# Tokens whose w / 10^k rounds exactly half way or next to it, or whose
+# digits reach the int64 limits, or that have no digit of value at all.
+EDGE_TOKENS = [
+    "9007199254740993.0",  # 2^53 + 1: a tie, rounds to even (2^53)
+    "9007199254740995.0",  # a tie that rounds up
+    "9007199254740993.00000000000000001",  # just above the tie, 33 digits: float()
+    "0.000000000000000001",
+    "0.0000000000000000001",  # 19 fraction digits: float()
+    "0.0",
+    "-0.0",
+    "000.5",
+    "-007.25",
+    "123456789012345678.0",  # 19 digits, w >= 10^18
+    "999999999999999999.9",
+    "0.99999999999999999",  # 17 digits below 1, rounds to 1.0
+    "9223372036854775.808",  # digits read as 2^63: saturates
+    "-9223372036854775.808",  # digits read as -2^63
+    "18446744073709551.631",  # digits are 2^64 + 15: must saturate, not wrap
+    "1234567890123456789012345.0",  # 25 digits
+]
+
+
+@st.composite
+def plain_tokens(draw):
+    """One fixed-notation token: repr of a double, a midpoint between two
+    neighbouring doubles cut at some digit or in full, or an edge token."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.sampled_from(EDGE_TOKENS))
+    x = draw(st.floats(1e-4, 1e16, exclude_max=True))
+    sign = draw(st.sampled_from(["", "-"]))
+    if kind == 1:
+        return sign + _fixed(x)
+    mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+    digits = format(mid, "f")
+    if "." not in digits:
+        digits += ".0"
+    cut = digits.index(".") + 1 + draw(st.integers(1, 40))
+    return sign + (digits if kind == 3 else digits[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    plain_tokens(), min_size=n * n, max_size=n * n))))
+def test_integer_path_is_bit_exact(case):
+    n, tokens = case
+    _assert_exact(_plain_text(tokens, n), gate=0)
+
+
+def test_integer_path_reads_edge_tokens():
+    # Every edge token, in the middle of a row and at its ends.
+    tokens = EDGE_TOKENS + ["1.5"] * (25 - len(EDGE_TOKENS))
+    _assert_exact(_plain_text(tokens, 5), gate=0)
+    _assert_exact(_plain_text(tokens[::-1], 5), gate=0)
+
+
+def test_integer_path_matches_float_on_random_doubles():
+    rng = np.random.default_rng(14)
+    x = rng.random(40_000) * 10.0 ** rng.integers(-4, 16, 40_000)
+    x[::2] *= -1
+    tokens = [_fixed(v) for v in x.tolist()]
+    text = _plain_text(tokens, 200)
+    assert len(text) > 8 * matrixio._PLAIN_DENSE_BLOCK_CHARS
+    fast = _integer_path(text)
+    expected = np.array([float(t) for t in tokens]).reshape(200, 200)
+    assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
+
+
+def _base_tokens(n=32):
+    rng = np.random.default_rng(n)
+    return [repr(float(v)) for v in rng.uniform(-1.0, 10.0, n * n)]
+
+
+BASE = _plain_text(_base_tokens(), 32)
+
+
+def _splice(old, new, count=1):
+    assert old in BASE
+    return BASE.replace(old, new, count)
+
+
+_FIRST = BASE.split()[1]
+
+# One text per way out of the plain form; each must leave the integer path
+# and give the per-token parser's matrix or message.
+DENSE_DECLINES = {
+    "exponent": _splice(_FIRST, "1.5e-3"),
+    "unsigned_exponent": _splice(_FIRST, "1.5e3"),
+    "underscore": _splice(_FIRST, "1.5_0"),
+    "integer_token": _splice(_FIRST, "2"),
+    "leading_dot": _splice(_FIRST, ".5"),
+    "trailing_dot": _splice(_FIRST, "5."),
+    "plus_sign": _splice(_FIRST, "+" + _FIRST),
+    "two_minus_signs": _splice(_FIRST, "--1.5"),
+    "inner_minus": _splice(_FIRST, "1.-5"),
+    "two_dots": _splice(_FIRST, "1.2.5"),
+    "lone_minus": _splice(_FIRST, "-"),
+    "tab": _splice(" ", "\t"),
+    "run_of_spaces": _splice(" ", "  "),
+    "leading_space": BASE.replace("\n", "\n ", 2).replace("\n ", "\n", 1),
+    "trailing_space": _splice("\n", " \n", 2).replace(" \n", "\n", 1),
+    "crlf": BASE.replace("\n", "\r\n"),
+    "comment": "# c\n" + BASE,
+    "blank_line": _splice("\n", "\n\n", 2),
+    "non_ascii_space": _splice(" ", "\u2003"),
+    "non_ascii_digit": _splice(_FIRST, "\u0661.5"),
+    "no_final_newline": BASE[:-1],
+    "header_sign": "+" + BASE,
+    "header_comment": BASE.replace("\n", " # c\n", 1),
+    "infinite_value": _splice(_FIRST, "1" * 400 + ".0"),
+    "nan": _splice(_FIRST, "nan"),
+    "short_row": _splice(" " + BASE.split()[2], ""),
+    "long_row": _splice(" ", " 1.5 "),
+    "missing_row": BASE[: BASE.rindex("\n", 0, -1) + 1],
+    "extra_row": BASE + BASE.splitlines()[1] + "\n",
+}
+
+
+@pytest.mark.parametrize("text", DENSE_DECLINES.values(), ids=DENSE_DECLINES.keys())
+def test_integer_path_declines(text):
+    assert len(text) >= GATE
+    assert _integer_path(text) is None
+    assert _outcome(text) == _per_token_outcome(text)
+
+
+def test_integer_path_messages_are_unchanged():
+    infinite = "1" * 400 + ".0"
+    assert _outcome(DENSE_DECLINES["infinite_value"]) == (
+        f"<input>:2: entries must be finite, got '{infinite}'"
+    )
+    assert _outcome(DENSE_DECLINES["short_row"]) == "<input>:2: row 1 has 31 entries, expected 32"
+    assert _outcome(DENSE_DECLINES["two_dots"]) == "<input>:2: expected a real number, got '1.2.5'"
+
+
+def test_integer_path_rows_longer_than_a_block():
+    tokens = _base_tokens(30)
+    text = _plain_text(tokens, 30)
+    for block in (1, 64, 700, 10_000):  # one row per block, or many
+        _assert_exact(text, gate=0, block=block)
+
+
+def test_integer_path_gate():
+    # Leading zeros pad the first token to put the text one character below
+    # the gate, and then exactly at it.
+    tokens = ["1.5"] * (40 * 40)
+    pad = GATE - 1 - len(_plain_text(tokens, 40))
+    assert pad > 0
+    below = _plain_text(["0" * pad + "1.5"] + tokens[1:], 40)
+    at = _plain_text(["0" * (pad + 1) + "1.5"] + tokens[1:], 40)
+    assert (len(below), len(at)) == (GATE - 1, GATE)
+    assert _integer_path(below) is None
+    assert _integer_path(at) is not None
+    assert _outcome(below) == _outcome(at) == _per_token_outcome(at)
+
+
+def test_integer_path_allocates_only_for_text_that_can_hold_n_squared_tokens():
+    # A header of 10^7 would ask for 800 TB; the text holds 4 characters
+    # per token for only a few tokens.
+    text = "10000000\n" + "1.5 " * (GATE // 4) + "1.5\n"
+    assert _integer_path(text) is None
+    assert _outcome(text) == "<input>: expected 10000000 matrix rows, found 1"
