@@ -12,7 +12,7 @@ The numerical floors are fixed module constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class InverseStats:
     total: float
     buffoni_number: float
     ratio_argmin: tuple[int, int]
+    # buffoni_number * total, formed from the unit-scale ratio and sum, so it
+    # stays finite where the total overflows.
+    _buffoni_total: float = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -115,18 +118,20 @@ def inverse_stats(a) -> InverseStats:
     ratios = inv * scale
     # The total can exceed the largest float where its scaled sum cannot;
     # Python float division then gives inf without a numpy warning.
-    total = float(ratios.sum()) / scale
+    scaled_total = float(ratios.sum())
     ratios /= np.outer(row_sums * scale, col_sums * scale)
     flat = int(np.argmin(ratios))
     n = inv.shape[0]
     loc = (flat // n, flat % n)
+    min_ratio = float(ratios[loc])
     return InverseStats(
         inv=inv,
         row_sums=row_sums,
         col_sums=col_sums,
-        total=total,
-        buffoni_number=float(ratios[loc]) * scale,
+        total=scaled_total / scale,
+        buffoni_number=min_ratio * scale,
         ratio_argmin=loc,
+        _buffoni_total=min_ratio * scaled_total,
     )
 
 
@@ -190,9 +195,7 @@ def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
 
 def _main_bound(a, stats: InverseStats, m_matrix: bool) -> BoundResult:
     """:func:`main_bound` from precomputed statistics and M-matrix test."""
-    value = _formula_value(
-        stats.buffoni_number, 1.0 - stats.buffoni_number * stats.total
-    )
+    value = _formula_value(stats.buffoni_number, 1.0 - stats._buffoni_total)
     ok, detail = _main_preconditions(a, m_matrix)
     return BoundResult(value, "main", "componentwise", ok, detail)
 

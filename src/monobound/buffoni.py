@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_check
+from .classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_inverse
 from .errors import (
     DimensionMismatch,
     NegativePerturbation,
@@ -33,7 +33,6 @@ V_CAP = 1e12
 W_FLOOR = 1e-14
 #: E counts as rank one when max|E - u w^T| <= RANK_ONE_RTOL * max E.
 RANK_ONE_RTOL = 1e-14
-V_HI_INIT = 1.0
 BISECT_ABS_TOL = 1e-9
 
 
@@ -73,19 +72,17 @@ def _validated_pair(a, e, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
         )
     if np.any(pert < 0.0):
         raise NegativePerturbation("perturbation must be entrywise nonnegative")
-    try:
-        inv = inverse(m)
-    except SingularMatrix:
-        raise NotMonotone("base matrix is not monotone") from None
-    if not _monotone_check(inv, tol):
+    verdict, inv = _monotone_inverse(m, tol)
+    if not verdict:
         raise NotMonotone("base matrix is not monotone")
     return m, pert, inv
 
 
-def _v_cap(m: np.ndarray, pert: np.ndarray) -> float:
-    """:data:`V_CAP` relative to max|A| / max|E|; math.inf for a zero E."""
+def _pair_scale(m: np.ndarray, pert: np.ndarray) -> float:
+    """max|A| / max E, the scale of the pair's threshold; math.inf for a
+    zero E."""
     e_max = float(pert.max())
-    return V_CAP * (float(np.abs(m).max()) / e_max) if e_max > 0.0 else math.inf
+    return float(max(m.max(), -m.min())) / e_max if e_max > 0.0 else math.inf
 
 
 def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
@@ -108,7 +105,7 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     step from v = 0.
     """
     m, pert, z = _validated_pair(a, e, tol)
-    cap = _v_cap(m, pert)
+    cap = V_CAP * _pair_scale(m, pert)
     factors = _rank_one_factors(pert)
     if factors is None:
         return _ratio_iteration(m, pert, z, cap)
@@ -199,10 +196,12 @@ def bisection_vstar(
     a, e, *, abs_tol: float = BISECT_ABS_TOL, tol: float = DEFAULT_MONOTONE_TOL
 ) -> float:
     """Independent threshold oracle: double an upper candidate from
-    :data:`V_HI_INIT` until monotonicity fails (returning math.inf once past
-    ``V_CAP * max|A| / max|E|``, and at once for a zero E), then narrow the
-    predicate boundary until the bracket is at most ``abs_tol`` wide or no
-    float lies strictly between its ends.
+    ``max|A| / (n max E)`` until monotonicity fails (returning math.inf once
+    past ``V_CAP * max|A| / max E``, and at once for a zero E), then narrow
+    the predicate boundary until the bracket is at most ``abs_tol`` wide or
+    no float lies strictly between its ends.  The first candidate scales
+    with A, so for c a power of two the search on (c A, E, c abs_tol)
+    returns exactly c times the search on (A, E, abs_tol), probe for probe.
 
     Each narrowing probe is an ITP step (interpolate, truncate, project)
     towards the earliest entrywise secant crossing of the inverses at the
@@ -217,14 +216,9 @@ def bisection_vstar(
 def _checked_inverse(
     m: np.ndarray, pert: np.ndarray, v: float, tol: float
 ) -> tuple[MonotoneCheck, np.ndarray | None]:
-    """:func:`~monobound.classify.is_monotone` of A + v E together with the
-    inverse it tested; None in place of the inverse when A + v E is
-    singular."""
-    try:
-        inv = inverse(m + v * pert)
-    except SingularMatrix:
-        return MonotoneCheck(monotone=False, location=None, value=None, singular=True), None
-    return _monotone_check(inv, tol), inv
+    """One probe of the search: the monotonicity verdict on A + v E and the
+    inverse it tested (None when A + v E is singular)."""
+    return _monotone_inverse(m + v * pert, tol)
 
 
 def _bisect_from(
@@ -243,36 +237,33 @@ def _bisect_from(
     from by ``abs_tol``, doubling the step until the predicate changes:
     upward when A + seed E is monotone, downward (at most to 0, where A was
     validated) when it is not.  A seed of 0 or math.inf takes the unseeded
-    expansion from :data:`V_HI_INIT`.  The bracket is then narrowed by
-    :func:`_itp_point` until it is at most ``abs_tol`` wide.  Either way the
-    predicate alone confirms both ends of the final bracket, so a poor seed
-    or a poor interpolant costs probes, not correctness.
+    expansion from h / n, with h = max|A| / max E the scale of the pair.
+    The bracket is then narrowed by :func:`_itp_point` until it is at most
+    ``abs_tol`` wide.  Either way the predicate alone confirms both ends of
+    the final bracket, so a poor seed or a poor interpolant costs probes,
+    not correctness.
     """
-    cap = _v_cap(m, pert)
-    if math.isinf(cap):
+    h = _pair_scale(m, pert)
+    if math.isinf(h):
         return math.inf
+    cap = V_CAP * h
     # lo is always the last monotone probe (or 0, before one is made) and hi
     # the last failing one, so these are the inverses at the bracket ends,
-    # or None where a probe kept no inverse.
+    # or None where there is none (A + v E singular, or z not given).
     last = {True: z, False: None}
 
-    def monotone_at(v: float, keep: bool = True) -> bool:
+    def monotone_at(v: float) -> bool:
         verdict, inv = _checked_inverse(m, pert, v, tol)
-        ok = bool(verdict)
-        last[ok] = inv if keep else None
-        return ok
+        last[bool(verdict)] = inv
+        return bool(verdict)
 
     if 0.0 < seed < math.inf:
         step = abs_tol
     else:
-        seed, step = 0.0, V_HI_INIT
-    # A seeded expansion keeps no inverse: a good seed brackets v* within
-    # abs_tol at once, and holding one inverse during the next probe would
-    # only raise the peak memory.  The narrowing then starts at midpoints.
-    keep = seed == 0.0
-    if seed == 0.0 or monotone_at(seed, keep):
+        seed, step = 0.0, h / m.shape[0]
+    if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
-        while monotone_at(hi, keep):
+        while monotone_at(hi):
             lo = hi
             step *= 2.0
             hi = seed + step
@@ -280,7 +271,7 @@ def _bisect_from(
                 return math.inf
     else:
         lo, hi = max(seed - step, 0.0), seed
-        while lo > 0.0 and not monotone_at(lo, keep):
+        while lo > 0.0 and not monotone_at(lo):
             hi = lo
             step *= 2.0
             lo = max(seed - step, 0.0)

@@ -54,11 +54,17 @@ def is_monotone(a, tol: float = DEFAULT_MONOTONE_TOL) -> MonotoneCheck:
     attributed to roundoff and accepted; a singular matrix is reported as
     non-monotone with ``singular=True``.
     """
+    return _monotone_inverse(a, tol)[0]
+
+
+def _monotone_inverse(a, tol: float) -> tuple[MonotoneCheck, np.ndarray | None]:
+    """:func:`is_monotone` of ``a`` together with the inverse it tested;
+    None in place of the inverse when ``a`` is singular."""
     try:
         inv = inverse(a)
     except SingularMatrix:
-        return MonotoneCheck(monotone=False, location=None, value=None, singular=True)
-    return _monotone_check(inv, tol)
+        return MonotoneCheck(monotone=False, location=None, value=None, singular=True), None
+    return _monotone_check(inv, tol), inv
 
 
 def _monotone_check(inv: np.ndarray, tol: float) -> MonotoneCheck:
@@ -110,12 +116,7 @@ def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
 def _m_matrix_test(a, inv: np.ndarray, tol: float) -> tuple[bool, MonotoneCheck]:
     """:func:`is_m_matrix` for ``a`` with inverse ``inv``, and the witness."""
     witness = _monotone_check(inv, tol)
-    return _m_matrix_rule(is_z_matrix(a), witness), witness
-
-
-def _m_matrix_rule(z_matrix: bool, witness: MonotoneCheck) -> bool:
-    """A nonsingular M-matrix: a Z-matrix whose inverse is nonnegative."""
-    return z_matrix and witness.monotone
+    return is_z_matrix(a) and witness.monotone, witness
 
 
 def is_strictly_diag_dominant(a) -> bool:
@@ -234,7 +235,7 @@ def classify_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> ClassificationRepor
     irreducible = is_irreducible(m)
     return ClassificationReport(
         is_z_matrix=z,
-        is_m_matrix=_m_matrix_rule(z, witness),
+        is_m_matrix=z and witness.monotone,
         is_monotone=witness.monotone,
         is_strictly_diag_dominant=bool(np.all(sigma < 1.0)),
         is_irreducibly_diag_dominant=_irreducible_dominance_rule(sigma, lambda: irreducible),

@@ -66,7 +66,7 @@ def inverse(a) -> np.ndarray:
     warning and no NaN or inf is returned.
     """
     m = as_square_matrix(a)
-    amax = float(np.abs(m).max())
+    amax = float(max(m.max(), -m.min()))
     # inv(sA) = inv(A) / s, and a power of two s scales exactly; bringing
     # max|A| near 1 keeps LAPACK's elimination from overflowing.
     scale = _window_scale(amax)

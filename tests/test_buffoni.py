@@ -37,7 +37,7 @@ def _iterate(a, e):
     """The ratio iteration alone, the reference for pairs that
     buffoni_vstar solves in closed form."""
     m, pert, z = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
-    return buffoni._ratio_iteration(m, pert, z, buffoni._v_cap(m, pert))
+    return buffoni._ratio_iteration(m, pert, z, buffoni.V_CAP * buffoni._pair_scale(m, pert))
 
 
 def test_single_entry_12(sample_a):
@@ -98,9 +98,10 @@ def _reference_search(a, e, seed, abs_tol, tol):
     buffoni._bisect_from, narrowed by plain midpoint bisection.  Returns
     (value, number of probes)."""
     m, pert = np.asarray(a, dtype=float), np.asarray(e, dtype=float)
-    cap = buffoni._v_cap(m, pert)
-    if np.isinf(cap):
+    h = buffoni._pair_scale(m, pert)
+    if np.isinf(h):
         return np.inf, 0
+    cap = buffoni.V_CAP * h
     count = 0
 
     def monotone_at(v):
@@ -111,7 +112,7 @@ def _reference_search(a, e, seed, abs_tol, tol):
     if 0.0 < seed < np.inf:
         step = abs_tol
     else:
-        seed, step = 0.0, buffoni.V_HI_INIT
+        seed, step = 0.0, h / m.shape[0]
     if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
         while monotone_at(hi):
@@ -235,7 +236,7 @@ def _search_pairs():
 
 def _check_search(a, e, abs_tol, tol, probes):
     """Run bisection_vstar on the pair and check it against the reference
-    search; return (its probes, the reference's probes)."""
+    search; return (its result, its probes, the reference's probes)."""
     probes.clear()
     got = bisection_vstar(a, e, abs_tol=abs_tol, tol=tol)
     want, reference = _reference_search(a, e, 0.0, abs_tol, tol)
@@ -248,7 +249,7 @@ def _check_search(a, e, abs_tol, tol, probes):
         assert hi - lo <= abs_tol * (1 + 1e-6)
         assert is_monotone(a + lo * e, tol) and not is_monotone(a + hi * e, tol)
         assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15 * hi)
-    return len(probes), reference
+    return got, len(probes), reference
 
 
 def test_search_takes_at_most_one_probe_beyond_bisection(probes):
@@ -260,7 +261,7 @@ def test_search_takes_at_most_one_probe_beyond_bisection(probes):
     total = reference_total = checked = 0
     for a, e, abs_tol, tol in _search_pairs():
         counts = {
-            scale: _check_search(scale * a, scale * e, abs_tol, tol, probes)
+            scale: _check_search(scale * a, scale * e, abs_tol, tol, probes)[1:]
             for scale in (1.0, 2.0**20, 2.0**-20)
         }
         assert len(set(counts.values())) == 1
@@ -272,13 +273,16 @@ def test_search_takes_at_most_one_probe_beyond_bisection(probes):
 
 
 def test_search_bound_holds_when_only_a_is_scaled(probes):
-    # With A alone scaled by 2^-20, v* lies about 1e6 times below the first
-    # candidate V_HI_INIT: the inverses at 0 and 1 interpolate poorly and the
-    # narrowing saves few probes, but it still takes at most one more than
-    # plain bisection.
+    # With A and abs_tol alone scaled by c = 2^k, v* scales by c, and so does
+    # the first candidate max|A| / (n max E).  Every probe then scales by c
+    # exactly, so the result is c times the unscaled one with the same probe
+    # count, still at most one probe more than plain bisection.
     for a, e, abs_tol, tol in _search_pairs():
-        for scale in (2.0**20, 2.0**-20):
-            _check_search(scale * a, e, scale * abs_tol, tol, probes)
+        value, count, _ = _check_search(a, e, abs_tol, tol, probes)
+        for k in (20, -20, 40, -40):
+            scale = 2.0**k
+            got, taken, _ = _check_search(scale * a, e, scale * abs_tol, tol, probes)
+            assert (got, taken) == (scale * value, count)
 
 
 def test_cap_scales_with_the_pair(sample_a, probes):

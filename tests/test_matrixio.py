@@ -135,6 +135,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=FINITE)))
 def test_header_decides_format_and_round_trips_bit_exactly(a):
+    rows = "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in a)
+    assert format_dense(a) == f"{a.shape[0]}\n{rows}"
     for text in (format_dense(a), _format_coord(a)):
         b = parse_matrix(text)
         assert b.shape == a.shape
