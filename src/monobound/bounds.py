@@ -2,7 +2,8 @@
 built from inverse statistics, its doubly-stochastic specialization, the
 graph-distance norm bound, and the sharp tridiagonal single-entry bound.
 
-All bound routines report their hypotheses through
+All bound routines report their hypotheses, computed once per matrix
+(irreducibility only when Bouchon's rule reaches it), through
 :class:`BoundResult.preconditions_ok` instead of refusing to evaluate, so the
 formulas can be inspected on exploratory inputs; only structural
 impossibilities (wrong shape, singular matrix, broken bandwidth) raise.
@@ -18,11 +19,14 @@ import numpy as np
 
 from .classify import (
     DEFAULT_MONOTONE_TOL,
-    _m_matrix_test,
-    is_irreducibly_diag_dominant,
+    _irreducible_dominance_rule,
+    _m_matrix_rule,
+    _monotone_check,
+    is_irreducible,
     is_m_matrix,
+    is_monotone,
     is_quasi_doubly_stochastic,
-    is_strictly_diag_dominant,
+    sigma_vector,
 )
 from .errors import (
     BandwidthViolation,
@@ -168,16 +172,26 @@ def _formula_value(numerator: float, denominator: float) -> float:
     return max(numerator / denominator, 0.0)
 
 
-def _main_preconditions(a, m_matrix: bool) -> tuple[bool, str]:
+def _hypotheses(a, monotone) -> tuple[np.ndarray | None, bool]:
+    """What the bounds' preconditions read, once per matrix: the dominance
+    ratios (None with a zero diagonal entry) and the M-matrix verdict."""
     try:
-        sdd = is_strictly_diag_dominant(a)
+        sigma = sigma_vector(a)
     except ZeroDiagonal:
+        sigma = None
+    return sigma, _m_matrix_rule(a, monotone)
+
+
+def _preconditions(sigma, m_matrix: bool, kind: str, dominant) -> tuple[bool, str]:
+    """Main and Bouchon preconditions, on :func:`_hypotheses`, in one order:
+    nonzero diagonal, M-matrix, then ``dominant(sigma)``, of the given kind."""
+    if sigma is None:
         return False, "zero diagonal entry; dominance undefined"
     if not m_matrix:
         return False, "not a (nonsingular) M-matrix"
-    if not sdd:
-        return False, "M-matrix but not strictly diagonally dominant"
-    return True, "strictly diagonally dominant M-matrix"
+    if not dominant(sigma):
+        return False, f"M-matrix but not {kind} diagonally dominant"
+    return True, f"{kind} diagonally dominant M-matrix"
 
 
 def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
@@ -190,13 +204,13 @@ def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     all-ones.
     """
     stats = inverse_stats(a)
-    return _main_bound(a, stats, _m_matrix_test(a, stats.inv, tol)[0])
+    return _main_bound(stats, _hypotheses(a, lambda: _monotone_check(stats.inv, tol)))
 
 
-def _main_bound(a, stats: InverseStats, m_matrix: bool) -> BoundResult:
-    """:func:`main_bound` from precomputed statistics and M-matrix test."""
+def _main_bound(stats: InverseStats, hypotheses) -> BoundResult:
+    """:func:`main_bound` from precomputed statistics and hypotheses."""
     value = _formula_value(stats.buffoni_number, 1.0 - stats._buffoni_total)
-    ok, detail = _main_preconditions(a, m_matrix)
+    ok, detail = _preconditions(*hypotheses, "strictly", lambda s: bool(np.all(s < 1.0)))
     return BoundResult(value, "main", "componentwise", ok, detail)
 
 
@@ -205,8 +219,8 @@ def corollary_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     inverse entry alone; for quasi-doubly-stochastic M-matrices it coincides
     with :func:`main_bound`."""
     m = as_square_matrix(a)
-    m_matrix, witness = _m_matrix_test(m, inverse(m), tol)
-    return _corollary_bound(m, witness.value, m_matrix)
+    witness = _monotone_check(inverse(m), tol)
+    return _corollary_bound(m, witness.value, _m_matrix_rule(m, lambda: witness))
 
 
 def _corollary_bound(m: np.ndarray, min_entry: float, m_matrix: bool) -> BoundResult:
@@ -260,20 +274,6 @@ def bouchon_quantities(a, e_pattern) -> BouchonQuantities:
     )
 
 
-def _bouchon_preconditions(m, e, m_matrix: bool) -> tuple[bool, str]:
-    try:
-        idd = is_irreducibly_diag_dominant(m)
-    except ZeroDiagonal:
-        return False, "zero diagonal entry; dominance undefined"
-    if not m_matrix:
-        return False, "not a (nonsingular) M-matrix"
-    if not idd:
-        return False, "M-matrix but not irreducibly diagonally dominant"
-    if not np.all(e.sum(axis=1) >= 0.0):
-        return False, "perturbation pattern has a negative row sum"
-    return True, "irreducibly diagonally dominant M-matrix, pattern row sums nonnegative"
-
-
 def bouchon_bound(a, e_pattern, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     """Norm bound coefficient * min_i |a_ii| for perturbations supported on
     the given pattern.
@@ -285,17 +285,24 @@ def bouchon_bound(a, e_pattern, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResul
     m = as_square_matrix(a)
     e = as_square_matrix(e_pattern)
     quantities = bouchon_quantities(m, e)
-    return _bouchon_bound(m, e, quantities, is_m_matrix(m, tol))
+    return _bouchon_bound(m, e, quantities, _hypotheses(m, lambda: is_monotone(m, tol)))
 
 
 def _bouchon_bound(
-    m: np.ndarray, e: np.ndarray, quantities: BouchonQuantities, m_matrix: bool
+    m: np.ndarray, e: np.ndarray, quantities: BouchonQuantities, hypotheses
 ) -> BoundResult:
-    """:func:`bouchon_bound` from precomputed quantities and M-matrix test.
-    A zero diagonal gives the value 0.0, also when eta = 0 makes the
-    coefficient infinite."""
+    """:func:`bouchon_bound` from precomputed quantities and hypotheses; a zero
+    diagonal gives 0.0, also when eta = 0 makes the coefficient infinite."""
     value = quantities.coefficient * quantities.min_diag if quantities.min_diag else 0.0
-    ok, detail = _bouchon_preconditions(m, e, m_matrix)
+    ok, detail = _preconditions(
+        *hypotheses,
+        "irreducibly",
+        lambda s: _irreducible_dominance_rule(s, lambda: is_irreducible(m)),
+    )
+    if ok and not np.all(e.sum(axis=1) >= 0.0):
+        ok, detail = False, "perturbation pattern has a negative row sum"
+    elif ok:
+        detail += ", pattern row sums nonnegative"
     return BoundResult(value, "bouchon", "inf-norm", ok, detail)
 
 

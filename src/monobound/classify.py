@@ -102,21 +102,20 @@ def strict_dominance_set(sigma) -> tuple[int, ...]:
 
 
 def is_z_matrix(a) -> bool:
-    """All off-diagonal entries nonpositive."""
+    """All off-diagonal entries nonpositive: every positive entry is diagonal."""
     m = as_square_matrix(a)
-    off = m - np.diag(np.diagonal(m))
-    return bool(np.all(off <= 0.0))
+    return int(np.count_nonzero(m > 0.0)) == int(np.count_nonzero(np.diagonal(m) > 0.0))
 
 
 def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
     """Nonsingular M-matrix test: Z sign pattern plus a nonnegative inverse."""
-    return is_z_matrix(a) and bool(is_monotone(a, tol))
+    return _m_matrix_rule(a, lambda: is_monotone(a, tol))
 
 
-def _m_matrix_test(a, inv: np.ndarray, tol: float) -> tuple[bool, MonotoneCheck]:
-    """:func:`is_m_matrix` for ``a`` with inverse ``inv``, and the witness."""
-    witness = _monotone_check(inv, tol)
-    return is_z_matrix(a) and witness.monotone, witness
+def _m_matrix_rule(a, monotone) -> bool:
+    """The one M-matrix verdict: ``a`` is a Z-matrix and ``monotone()``, its
+    :class:`MonotoneCheck`, is truthy (called only for a Z-matrix)."""
+    return is_z_matrix(a) and bool(monotone())
 
 
 def is_strictly_diag_dominant(a) -> bool:
@@ -229,19 +228,17 @@ def classify_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> ClassificationRepor
     """
     m = as_square_matrix(a)
     sigma = sigma_vector(m)
-    strict = strict_dominance_set(sigma)
     witness = is_monotone(m, tol)
-    z = is_z_matrix(m)
     irreducible = is_irreducible(m)
     return ClassificationReport(
-        is_z_matrix=z,
-        is_m_matrix=z and witness.monotone,
+        is_z_matrix=is_z_matrix(m),
+        is_m_matrix=_m_matrix_rule(m, lambda: witness),
         is_monotone=witness.monotone,
         is_strictly_diag_dominant=bool(np.all(sigma < 1.0)),
         is_irreducibly_diag_dominant=_irreducible_dominance_rule(sigma, lambda: irreducible),
         is_irreducible=irreducible,
         is_quasi_doubly_stochastic=is_quasi_doubly_stochastic(m),
         sigma=sigma,
-        strict_set=strict,
+        strict_set=strict_dominance_set(sigma),
         monotone_witness=witness,
     )

@@ -24,6 +24,7 @@ from .bounds import (
     InverseStats,
     _bouchon_bound,
     _corollary_bound,
+    _hypotheses,
     _main_bound,
     bouchon_quantities,
     inverse_stats,
@@ -34,7 +35,7 @@ from .classify import (
     DEFAULT_MONOTONE_TOL,
     ClassificationReport,
     MonotoneCheck,
-    _m_matrix_test,
+    _monotone_check,
     classify_matrix,
 )
 from .errors import MatrixParseError, MonoboundError
@@ -102,12 +103,6 @@ def _bound_dict(result: BoundResult) -> dict:
     }
 
 
-def _load_pattern(source: str, matrix: np.ndarray) -> np.ndarray:
-    if source == "full":
-        return np.ones_like(matrix)
-    return read_matrix(source)
-
-
 def _cmd_classify(args) -> dict:
     matrix = read_matrix(args.matrix)
     report = classify_matrix(matrix, tol=args.tol)
@@ -119,20 +114,21 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    # One inverse and one M-matrix test serve the statistics and every bound.
+    # One inverse and one set of hypotheses serve the statistics and every bound.
     matrix = read_matrix(args.matrix)
     stats = inverse_stats(matrix)
-    m_matrix, witness = _m_matrix_test(matrix, stats.inv, args.tol)
+    witness = _monotone_check(stats.inv, args.tol)
+    hypotheses = _hypotheses(matrix, lambda: witness)
     results = []
     doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats, witness)}
     if args.which in ("main", "all"):
-        results.append(_main_bound(matrix, stats, m_matrix))
+        results.append(_main_bound(stats, hypotheses))
     if args.which in ("corollary", "all"):
-        results.append(_corollary_bound(matrix, witness.value, m_matrix))
+        results.append(_corollary_bound(matrix, witness.value, hypotheses[1]))
     if args.which in ("bouchon", "all"):
-        pattern = _load_pattern(args.pattern, matrix)
+        pattern = np.ones_like(matrix) if args.pattern == "full" else read_matrix(args.pattern)
         quantities = bouchon_quantities(matrix, pattern)
-        results.append(_bouchon_bound(matrix, pattern, quantities, m_matrix))
+        results.append(_bouchon_bound(matrix, pattern, quantities, hypotheses))
         doc["bouchon_quantities"] = {
             "min_diag": float(quantities.min_diag),
             "eta": float(quantities.eta),

@@ -94,8 +94,15 @@ _PLAIN_DENSE_BLOCK_CHARS = 2**16
 
 
 def read_matrix(path) -> np.ndarray:
-    """Parse a matrix file; the header line decides the format."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a matrix file; the header line decides the format.  A file that
+    is not UTF-8 text raises :class:`MatrixParseError` naming the line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; "?" stands in for it, so the
+        # count is the line the parser would have numbered.
+        line = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
+        raise MatrixParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
     return parse_matrix(text, name=str(path))
 
 

@@ -424,3 +424,86 @@ def test_tridiagonal_flags_non_m_matrix():
     res = tridiagonal_bound(a, 0, 2)
     assert not res.preconditions_ok
     assert res.value >= 0.0
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # zero diagonal, nonsingular
+NOT_Z = np.array([[1.0, 0.5], [0.2, 1.0]])  # monotone but not an M-matrix
+WEAKLY_DOMINANT = np.array([[1.0, -1.0], [-0.5, 1.0]])  # M-matrix, sigma = (1, 0.5)
+ROW_NOT_DOMINANT = np.array([[1.0, -2.0], [-0.1, 1.0]])  # M-matrix, sigma = (2, 0.1)
+REDUCIBLE = np.array([[1.0, -0.5, 0.0], [0.0, 1.0, -0.5], [0.0, 0.0, 1.0]])  # M-matrix, sigma < 1
+REDUCIBLE_PATTERN = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+NEGATIVE_ROW_PATTERN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+PATH = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+
+
+def _bound(method, a, pattern=None):
+    if method == "main":
+        return main_bound(a)
+    if method == "corollary":
+        return corollary_bound(a)
+    if method == "bouchon":
+        return bouchon_bound(a, np.ones(a.shape) if pattern is None else pattern)
+    return tridiagonal_bound(a, 0, 2)
+
+
+# Every (preconditions_ok, precondition_detail) verdict of the closed-form
+# bounds, each on one input that reaches it.
+PRECONDITION_VERDICTS = [
+    ("main", SWAP, None, False, "zero diagonal entry; dominance undefined"),
+    ("main", NOT_Z, None, False, "not a (nonsingular) M-matrix"),
+    ("main", WEAKLY_DOMINANT, None, False, "M-matrix but not strictly diagonally dominant"),
+    ("main", SAMPLE_A, None, True, "strictly diagonally dominant M-matrix"),
+    ("corollary", NOT_Z, None, False, "not a (nonsingular) M-matrix"),
+    ("corollary", np.diag([2.0, 2.0]), None, False, "M-matrix but row/column sums differ from one"),
+    ("corollary", SAMPLE_A, None, True, "quasi-doubly-stochastic M-matrix"),
+    ("bouchon", SWAP, None, False, "zero diagonal entry; dominance undefined"),
+    ("bouchon", NOT_Z, None, False, "not a (nonsingular) M-matrix"),
+    ("bouchon", ROW_NOT_DOMINANT, None, False, "M-matrix but not irreducibly diagonally dominant"),
+    (
+        "bouchon",
+        REDUCIBLE,
+        REDUCIBLE_PATTERN,
+        False,
+        "M-matrix but not irreducibly diagonally dominant",
+    ),
+    (
+        "bouchon",
+        SAMPLE_A,
+        NEGATIVE_ROW_PATTERN,
+        False,
+        "perturbation pattern has a negative row sum",
+    ),
+    (
+        "bouchon",
+        SAMPLE_A,
+        None,
+        True,
+        "irreducibly diagonally dominant M-matrix, pattern row sums nonnegative",
+    ),
+    ("tridiagonal", PATH, None, True, "tridiagonal M-matrix"),
+    ("tridiagonal", np.abs(PATH), None, False, "tridiagonal but not a (nonsingular) M-matrix"),
+]
+
+
+@pytest.mark.parametrize(
+    "method, a, pattern, ok, detail",
+    PRECONDITION_VERDICTS,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(PRECONDITION_VERDICTS)],
+)
+def test_precondition_verdicts(method, a, pattern, ok, detail):
+    result = _bound(method, a, pattern)
+    assert result.method == method
+    assert (result.preconditions_ok, result.precondition_detail) == (ok, detail)
+
+
+def test_precondition_verdicts_cover_every_detail():
+    details = {(method, detail) for method, _, _, _, detail in PRECONDITION_VERDICTS}
+    assert len(details) == 14
+
+
+@pytest.mark.parametrize("method", ["main", "corollary"])
+def test_denominator_at_the_floor_gives_an_infinite_value(method):
+    # For A = (1), B * S = 1 and m * n = 1: both denominators are exactly 0.
+    result = _bound(method, np.array([[1.0]]))
+    assert result.value == math.inf
+    assert result.preconditions_ok

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import random_nonneg_perturbation, random_sdd_m_matrix
 
-from monobound import bisection_vstar, buffoni, cli, format_dense, graphdist, linalg
+from monobound import bisection_vstar, buffoni, classify, cli, format_dense, graphdist, linalg
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -156,6 +156,31 @@ def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
     assert len(factorizations) == 1
     assert len(distance_scans) == 1
     _assert_same_report(report, SAMPLE_BOUNDS_REPORT)
+
+
+@pytest.mark.parametrize(
+    "which, counts",
+    [
+        # Bouchon's rule reads irreducibility: one closure there and one in
+        # bouchon_M, which works on the pattern's support.
+        ("all", {"inverse": 1, "sigma_vector": 1, "is_z_matrix": 1, "_reach_powers": 2}),
+        ("main", {"inverse": 1, "sigma_vector": 1, "_reach_powers": 0, "is_irreducible": 0}),
+        ("corollary", {"inverse": 1, "is_z_matrix": 1, "_reach_powers": 0, "is_irreducible": 0}),
+    ],
+)
+def test_bounds_decides_each_hypothesis_once(capsys, monkeypatch, sample_file, which, counts):
+    calls = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in [
+            (linalg, "inverse"),
+            (classify, "sigma_vector"),
+            (classify, "is_z_matrix"),
+            (classify, "is_irreducible"),
+            (graphdist, "_reach_powers"),
+        ]
+    }
+    run_json(capsys, ["bounds", sample_file, "--which", which])
+    assert {name: len(calls[name]) for name in counts} == counts
 
 
 def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_file, tmp_path):
@@ -361,6 +386,15 @@ def test_malformed_input(capsys, tmp_path):
     assert "expected" in err
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, newline):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(newline.join(["2", "1 \xff", "0 1", ""]).encode("latin-1"))
+    rc, out, err = run(capsys, ["classify", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}:2: not UTF-8 text (invalid start byte)\n"
+
+
 def test_missing_file(capsys):
     rc, out, err = run(capsys, ["classify", "/nonexistent/path.txt"])
     assert rc == 2
@@ -429,12 +463,129 @@ def test_dimension_too_large_to_allocate_is_a_parse_error(capsys, tmp_path, comm
     assert err == f"error: {path}:{line}: dimension 99999999999999 is too large to allocate\n"
 
 
-def test_plain_rendering(capsys, sample_file):
-    rc, out, err = run(capsys, ["bounds", sample_file, "--plain"])
-    assert rc == 0
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-    assert "bounds report" in out
+PLAIN_FILES = {
+    "a.txt": DENSE_SAMPLE,
+    "ones.txt": "3\n1 1 1\n1 1 1\n1 1 1\n",
+    "path.txt": "3\n2 -1 0\n-1 2 -1\n0 -1 2\n",
+    "p2.txt": "2\n2 -1\n-1 2\n",
+    "e11.txt": "2 1\n1 1 1.0\n",
+    "sing.txt": "2\n1 1\n1 1\n",
+    "not_z.txt": "2\n1 0.3\n0.2 1\n",
+}
+
+PLAIN_REPORTS = [
+    (
+        ["bounds", "a.txt"],
+        """\
+bounds report
+  stats:
+    sigma_total     3
+    buffoni_number  0.07228915663
+    min inverse entry 0.07228915663 at (1, 2)
+  graph-bound ingredients: min_diag=1.4 eta=4 distance_max=2 coefficient=0.01149623254
+  bounds:
+    method       value                  kind           preconditions
+    main         0.09230769231          componentwise  ok
+    corollary    0.09230769231          componentwise  ok
+    bouchon      0.01609472555          inf-norm       ok
+""",
+    ),
+    (
+        ["bounds", "not_z.txt", "--which", "main"],
+        """\
+bounds report
+  stats:
+    sigma_total     1.595744681
+    buffoni_number  -0.5755102041
+    min inverse entry -0.3191489362 at (1, 2)
+  bounds:
+    method       value                  kind           preconditions
+    main         0                      componentwise  NOT MET (not a (nonsingular) M-matrix)
+""",
+    ),
+    (
+        ["vstar", "a.txt", "ones.txt", "--method", "bisect"],
+        """\
+vstar report
+  threshold search (bisect):
+    bisection:       v* = 0.09230769242
+""",
+    ),
+    (
+        # E = e1 e1^T keeps the M-matrix monotone for every v: both searches
+        # are infinite and their discrepancy is 0, not inf - inf.
+        ["vstar", "p2.txt", "e11.txt", "--method", "both"],
+        """\
+vstar report
+  threshold search (both):
+    ratio iteration: v* = inf (diverged_infinite, 0 iterations)
+    bisection:       v* = inf
+    discrepancy:     0
+""",
+    ),
+    (
+        ["tridiag", "path.txt", "1", "3"],
+        """\
+tridiag report
+  perturbed entry: (1, 3)
+  bounds:
+    method       value                  kind           preconditions
+    tridiagonal  0.5                    single-entry   ok
+""",
+    ),
+    (
+        ["laplacian", "--s", "1", "--t", "2", "--d", "0.5", "--emit-matrix", "lap.txt"],
+        """\
+laplacian report
+  params: s=1 t=2 d=0.5
+  stats:
+    sigma_total     6
+    buffoni_number  0.09523809524
+  bounds:
+    method       value                  kind           preconditions
+    main         0.2222222222           componentwise  ok
+    bouchon      0.04414553294          inf-norm       ok
+  matrix written to lap.txt
+""",
+    ),
+    (
+        ["classify", "sing.txt"],
+        """\
+classify report
+  classification:
+    is_z_matrix                      no
+    is_m_matrix                      no
+    is_monotone                      no
+    is_strictly_diag_dominant        no
+    is_irreducibly_diag_dominant     no
+    is_irreducible                   yes
+    is_quasi_doubly_stochastic       no
+    sigma: 1 1
+    strict rows: none
+    witness: singular matrix
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    PLAIN_REPORTS,
+    ids=[
+        "bounds",
+        "bounds-not-met",
+        "vstar-bisect",
+        "vstar-both-infinite",
+        "tridiag",
+        "laplacian",
+        "classify-singular",
+    ],
+)
+def test_plain_rendering(capsys, monkeypatch, tmp_path, argv, text):
+    monkeypatch.chdir(tmp_path)
+    for name, content in PLAIN_FILES.items():
+        (tmp_path / name).write_text(content)
+    assert run(capsys, argv + ["--plain"]) == (0, text, "")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
-"""Permutation covariance audit: relabelling the unknowns of A by a
-permutation P (A -> P A P^T, and E -> P E P^T for vstar) permutes sigma,
-strict_set and every reported location the same way, and leaves every other
-number in the classify, bounds and Buffoni vstar reports unchanged.
+"""Covariance audits of the reports.
 
-Locations are compared only where the minimum they witness is unique: ties
-go to the first entry in row-major order, which a permutation need not keep
-first.  Numbers are compared to 1e-12 relative, since LAPACK eliminates the
-permuted matrix in another order.
+Permutations: relabelling the unknowns of A by a permutation P (A -> P A P^T,
+and E -> P E P^T for vstar) permutes sigma, strict_set and every reported
+location the same way, and leaves every other number in the classify, bounds
+and Buffoni vstar reports unchanged.  Locations are compared only where the
+minimum they witness is unique: ties go to the first entry in row-major
+order, which a permutation need not keep first.  Numbers are compared to
+1e-12 relative, since LAPACK eliminates the permuted matrix in another order.
+
+Scaling: A -> cA with c a power of two scales every number in the classify
+and bounds reports exactly by c, 1/c or 1, as its meaning says.
 """
 
 import json
@@ -15,12 +18,14 @@ import re
 import numpy as np
 import pytest
 from conftest import (
+    SAMPLE_A,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
     random_well_conditioned,
 )
 
 from monobound import inverse_stats, write_dense
+from monobound.bounds import DENOMINATOR_FLOOR
 from monobound.cli import main
 
 RTOL = 1e-12
@@ -144,3 +149,79 @@ def test_ratio_argmin_is_permutation_covariant(case):
     if _unique_min(ratios):
         r, c = want.ratio_argmin
         assert got.ratio_argmin == (new_index[r], new_index[c])
+
+
+# Power of c by which each number of the classify and bounds reports of cA
+# scales, keyed by its path; locations, flags and details do not change.
+SCALE_POWERS = {
+    ".classification.sigma": 0,
+    ".classification.monotone_witness.value": -1,
+    ".stats.sigma_total": -1,
+    ".stats.buffoni_number": 1,
+    ".stats.min_entry.value": -1,
+    ".bouchon_quantities.min_diag": 1,
+    ".bouchon_quantities.eta": 0,
+    ".bouchon_quantities.distance_max": 0,
+    ".bouchon_quantities.coefficient": 0,
+    ".bounds.main.value": 1,
+    ".bounds.bouchon.value": 1,
+}
+
+
+def _flatten(doc, path=""):
+    """{path: value} of a report; bounds are keyed by method."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif path.endswith(".bounds"):
+        items = ((b["method"], b) for b in doc)
+    else:
+        return {path: doc}
+    return {k: v for key, value in items for k, v in _flatten(value, f"{path}.{key}").items()}
+
+
+def _scale_reports(capsys, tmp_path, a):
+    path = str(tmp_path / "a.txt")
+    write_dense(a, path)
+    flat = {}
+    for argv in (["classify", path], ["bounds", path, "--which", "all"]):
+        assert main(argv) == 0
+        flat.update(_flatten(json.loads(capsys.readouterr().out)))
+    return flat
+
+
+def _scale_inputs():
+    rng = np.random.default_rng(20132)
+    return [SAMPLE_A] + [random_sdd_m_matrix(rng, n) for n in (4, 6, 9)]
+
+
+# 2^1023 is left out: the inverse of 2^1023 A is subnormal and loses bits.
+@pytest.mark.parametrize("k", [-1000, -300, -40, 40, 300, 1000])
+def test_reports_scale_exactly(capsys, tmp_path, k):
+    c = 2.0**k
+    for a in _scale_inputs():
+        want = _scale_reports(capsys, tmp_path, a)
+        got = _scale_reports(capsys, tmp_path, c * a)
+        assert got.keys() == want.keys() >= SCALE_POWERS.keys()
+        n = a.shape[0]
+        for path, value in want.items():
+            if path in SCALE_POWERS:
+                assert np.array_equal(got[path], np.multiply(value, c ** SCALE_POWERS[path])), path
+            elif path == ".classification.is_quasi_doubly_stochastic":
+                # Row and column sums scale by c, so they leave one.
+                assert got[path] is False
+            elif path.startswith(".bounds.corollary."):
+                # m / (1 - m n) is not homogeneous in the smallest inverse
+                # entry m, and cA is not quasi-doubly-stochastic: the value
+                # is the formula at m / c and carries no guarantee.
+                m = got[".stats.min_entry.value"]
+                denominator = 1.0 - m * n
+                expected = {
+                    "value": max(m / denominator, 0.0)
+                    if denominator > DENOMINATOR_FLOOR
+                    else "inf",
+                    "preconditions_ok": False,
+                    "preconditions": "M-matrix but row/column sums differ from one",
+                }
+                assert got[path] == expected.get(path.rsplit(".", 1)[1], value), path
+            else:
+                assert got[path] == value, path
