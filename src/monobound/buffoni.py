@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_inverse
+from .classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_inverse, is_z_matrix
 from .errors import (
     DimensionMismatch,
     NegativePerturbation,
@@ -25,7 +25,7 @@ from .errors import (
     SingularIterate,
     SingularMatrix,
 )
-from .linalg import as_square_matrix, inverse
+from .linalg import SINGULARITY_RTOL, as_square_matrix, inverse
 
 CONVERGENCE_RTOL = 1e-12
 MAX_ITER = 100
@@ -85,13 +85,28 @@ def _pair_scale(m: np.ndarray, pert: np.ndarray) -> float:
     return float(max(m.max(), -m.min())) / e_max if e_max > 0.0 else math.inf
 
 
+def _cap(m: np.ndarray, pert: np.ndarray, z: np.ndarray) -> float:
+    """The v past which both searches report math.inf (math.inf for a zero
+    E): h * min(V_CAP, 0.5 / (SINGULARITY_RTOL * max|A| * max|Z|) - 1), with
+    Z = A^-1 and h = max|A| / max E.  While A + v E is monotone its inverse
+    stays <= Z entrywise (dZ/dv = -Z E Z), so :func:`inverse` refuses no
+    probe or iterate below the second term, which keeps half of the rule's
+    budget for roundoff.  Where A alone uses more than that half the term is
+    not positive, and the cap is V_CAP * h."""
+    a_max = float(max(m.max(), -m.min()))
+    headroom = 0.5 / (SINGULARITY_RTOL * a_max * float(max(z.max(), -z.min()))) - 1.0
+    return _pair_scale(m, pert) * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
+
+
 def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     """Threshold v* by the ratio iteration
     v <- v + min { z_ij / w_ij : w_ij > 0 }, with Z = (A + v E)^-1 and
     W = Z E Z (minus the derivative of Z in v).
 
-    Converges quadratically to a finite v* and diverges past
-    ``V_CAP * max|A| / max|E|`` when A + v E is monotone for every v.
+    Converges quadratically to a finite v* and diverges past the cap of
+    :func:`_cap` (``V_CAP * max|A| / max|E|``, lowered to where the
+    singularity rule could refuse an iterate) when A + v E is monotone for
+    every v.
     :data:`W_FLOOR` (relative to the largest W entry) keeps roundoff-level
     denominators out of the minimum; convergence is declared when an
     increment is at most ``CONVERGENCE_RTOL * v`` (relative, so the search
@@ -102,14 +117,23 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
 
     A rank-one E = u w^T (to :data:`RANK_ONE_RTOL`) skips the iteration:
     Sherman-Morrison gives v* exactly from the inverse of A, reported as one
-    step from v = 0.
+    step from v = 0.  A diagonal E on a Z-matrix A skips it too: A is then an
+    M-matrix, A + v E stays one for every v >= 0, and v* = math.inf is
+    reported after no step.
     """
-    m, pert, z = _validated_pair(a, e, tol)
-    cap = V_CAP * _pair_scale(m, pert)
+    return _buffoni_from(*_validated_pair(a, e, tol))
+
+
+def _buffoni_from(m: np.ndarray, pert: np.ndarray, z: np.ndarray) -> BuffoniTrace:
+    """:func:`buffoni_vstar` on a pair that already passed
+    :func:`_validated_pair`, with ``z`` the inverse of A."""
+    cap = _cap(m, pert, z)
     factors = _rank_one_factors(pert)
-    if factors is None:
-        return _ratio_iteration(m, pert, z, cap)
-    return _rank_one_vstar(*factors, z, cap)
+    if factors is not None:
+        return _rank_one_vstar(*factors, z, cap)
+    if np.count_nonzero(pert) == np.count_nonzero(np.diagonal(pert)) and is_z_matrix(m):
+        return BuffoniTrace((), "diverged_infinite", math.inf)
+    return _ratio_iteration(m, pert, z, cap)
 
 
 def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -197,7 +221,7 @@ def bisection_vstar(
 ) -> float:
     """Independent threshold oracle: double an upper candidate from
     ``max|A| / (n max E)`` until monotonicity fails (returning math.inf once
-    past ``V_CAP * max|A| / max E``, and at once for a zero E), then narrow
+    past the cap of :func:`_cap`, and at once for a zero E), then narrow
     the predicate boundary until the bracket is at most ``abs_tol`` wide or
     no float lies strictly between its ends.  The first candidate scales
     with A, so for c a power of two the search on (c A, E, c abs_tol)
@@ -209,8 +233,7 @@ def bisection_vstar(
     bisection of the same bracket, and usually takes about a third of its
     probes.  Only the predicate's verdicts move the bracket ends.
     """
-    m, pert, z = _validated_pair(a, e, tol)
-    return _bisect_from(m, pert, 0.0, abs_tol, tol, z)
+    return _bisect_from(*_validated_pair(a, e, tol), 0.0, abs_tol, tol)
 
 
 def _checked_inverse(
@@ -222,34 +245,29 @@ def _checked_inverse(
 
 
 def _bisect_from(
-    m: np.ndarray,
-    pert: np.ndarray,
-    seed: float,
-    abs_tol: float,
-    tol: float,
-    z: np.ndarray | None = None,
+    m: np.ndarray, pert: np.ndarray, z: np.ndarray, seed: float, abs_tol: float, tol: float
 ) -> float:
     """The search of :func:`bisection_vstar` on a pair that already passed
-    :func:`_validated_pair`, with its bracket grown around ``seed``; ``z`` is
-    the inverse of A when the caller holds it.
+    :func:`_validated_pair`, with ``z`` the inverse of A and the bracket
+    grown around ``seed``.
 
     A finite positive ``seed`` (the iteration's v*) is probed, then stepped
     from by ``abs_tol``, doubling the step until the predicate changes:
     upward when A + seed E is monotone, downward (at most to 0, where A was
     validated) when it is not.  A seed of 0 or math.inf takes the unseeded
     expansion from h / n, with h = max|A| / max E the scale of the pair.
-    The bracket is then narrowed by :func:`_itp_point` until it is at most
-    ``abs_tol`` wide.  Either way the predicate alone confirms both ends of
-    the final bracket, so a poor seed or a poor interpolant costs probes,
-    not correctness.
+    No candidate past :func:`_cap` is probed.  The bracket is then narrowed
+    by :func:`_itp_point` until it is at most ``abs_tol`` wide.  Either way
+    the predicate alone confirms both ends of the final bracket, so a poor
+    seed or a poor interpolant costs probes, not correctness.
     """
     h = _pair_scale(m, pert)
     if math.isinf(h):
         return math.inf
-    cap = V_CAP * h
+    cap = _cap(m, pert, z)
     # lo is always the last monotone probe (or 0, before one is made) and hi
     # the last failing one, so these are the inverses at the bracket ends,
-    # or None where there is none (A + v E singular, or z not given).
+    # or None at a singular hi.
     last = {True: z, False: None}
 
     def monotone_at(v: float) -> bool:
@@ -263,12 +281,12 @@ def _bisect_from(
         seed, step = 0.0, h / m.shape[0]
     if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
-        while monotone_at(hi):
+        while hi <= cap and monotone_at(hi):
             lo = hi
             step *= 2.0
             hi = seed + step
-            if hi > cap:
-                return math.inf
+        if hi > cap:
+            return math.inf
     else:
         lo, hi = max(seed - step, 0.0), seed
         while lo > 0.0 and not monotone_at(lo):
@@ -297,7 +315,7 @@ def _bisect_from(
 def _itp_point(
     lo: float,
     hi: float,
-    z_lo: np.ndarray | None,
+    z_lo: np.ndarray,
     z_hi: np.ndarray | None,
     tol: float,
     width: float,
@@ -311,14 +329,14 @@ def _itp_point(
     linearly between the inverses at ``lo`` and ``hi``, crosses the tolerant
     floor -tol * max|Z| (itself interpolated); it is moved towards the
     midpoint by kappa1 * (hi - lo)^kappa2 and then kept close enough to it
-    that the bracket it leaves is at most ``reach`` wide.  A bracket end
-    without an inverse gives the midpoint.
+    that the bracket it leaves is at most ``reach`` wide.  A singular ``hi``
+    (no inverse) gives the midpoint.
     """
     mid = 0.5 * (lo + hi)
-    if z_lo is None or z_hi is None:
+    if z_hi is None:
         return mid
-    above = z_lo + tol * float(np.abs(z_lo).max())
-    below = z_hi + tol * float(np.abs(z_hi).max())
+    above = z_lo + tol * float(max(z_lo.max(), -z_lo.min()))
+    below = z_hi + tol * float(max(z_hi.max(), -z_hi.min()))
     # A monotone lo keeps every entry of `above` >= 0 and a failing hi puts
     # some entry of `below` < 0, so each crossing lies in [lo, hi).
     crossing = below < 0.0

@@ -30,7 +30,7 @@ from .bounds import (
     inverse_stats,
     tridiagonal_bound,
 )
-from .buffoni import BISECT_ABS_TOL, _bisect_from, bisection_vstar, buffoni_vstar
+from .buffoni import BISECT_ABS_TOL, _bisect_from, _buffoni_from, _validated_pair
 from .classify import (
     DEFAULT_MONOTONE_TOL,
     ClassificationReport,
@@ -140,35 +140,32 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_vstar(args) -> dict:
-    matrix = read_matrix(args.matrix)
-    pert = read_matrix(args.perturbation)
+    # One validation, and its inverse of A, serve every method.
+    pair = _validated_pair(read_matrix(args.matrix), read_matrix(args.perturbation), args.tol)
     section: dict = {"method": args.method}
-    trace = buffoni_value = bisect_value = None
+    seed = 0.0
     if args.method in ("buffoni", "both"):
-        trace = buffoni_vstar(matrix, pert, tol=args.tol)
-        buffoni_value = trace.vstar
+        trace = _buffoni_from(*pair)
         section["buffoni"] = {
             "value": _num(trace.vstar),
             "status": trace.status,
             "iterations": trace.iteration_count,
         }
+        # Only a converged value seeds the bracket: growing it from a far
+        # seed costs more than no seed.
+        if trace.status == "converged":
+            seed = trace.vstar
     if args.method in ("bisect", "both"):
-        if trace is None:
-            bisect_value = bisection_vstar(matrix, pert, tol=args.tol)
-        else:
-            # buffoni_vstar validated the pair.  Only a converged value seeds
-            # the bracket: growing it from a far seed costs more than no seed.
-            seed = buffoni_value if trace.status == "converged" else 0.0
-            bisect_value = _bisect_from(matrix, pert, seed, BISECT_ABS_TOL, args.tol)
+        bisect_value = _bisect_from(*pair, seed, BISECT_ABS_TOL, args.tol)
         section["bisection"] = {
             "value": _num(bisect_value),
             "status": "infinite" if math.isinf(bisect_value) else "finite",
         }
     if args.method == "both":
-        if math.isinf(buffoni_value) and math.isinf(bisect_value):
+        if math.isinf(trace.vstar) and math.isinf(bisect_value):
             section["discrepancy"] = 0.0
         else:
-            section["discrepancy"] = _num(abs(buffoni_value - bisect_value))
+            section["discrepancy"] = _num(abs(trace.vstar - bisect_value))
     return {"schema": SCHEMA, "command": "vstar", "vstar": section}
 
 

@@ -105,3 +105,36 @@ def random_well_conditioned(rng, n):
     """Random nonsingular matrix with mixed signs and modest condition
     number: dominant random diagonal plus small noise."""
     return np.diag(rng.uniform(1.0, 2.0, size=n)) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+
+
+def _dominant_pair(diagonal, entry, value, e_index):
+    """(A, E): diag(``diagonal``) with ``value`` at ``entry`` of A, and
+    E = 0.5 at ``e_index`` on the diagonal."""
+    a = np.diag(np.asarray(diagonal, dtype=float))
+    a[entry] = value
+    e = np.zeros_like(a)
+    e[e_index, e_index] = 0.5
+    return a, e
+
+
+_NEAR_SINGULAR_A = np.array([[1.4, -0.2, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
+
+# Pairs with a diagonal E on an M-matrix, so v* is infinite.  In the first
+# four max|A| * max|A^-1| is large enough that the singularity rule refuses
+# A + v E below V_CAP * max|A| / max E.  On the last two the ratio iteration
+# meets a roundoff-negative W entry (NotMonotone), or, when it runs to
+# V_CAP * max|A| / max E, a refused iterate (SingularIterate).
+INFINITE_THRESHOLD_PAIRS = {
+    "near-singular-e11": (_NEAR_SINGULAR_A, np.diag([0.5, 0.0, 0.0])),
+    "near-singular-e11-e22": (_NEAR_SINGULAR_A, np.diag([0.5, 0.5, 0.0])),
+    "dominant-9x9": _dominant_pair([1.4] + [0.01171875] * 8, (0, 1), -0.2, 0),
+    "dominant-5x5": _dominant_pair([0.015625, 2.0, 1.0, 1.0, 1.0], (1, 0), -0.5, 1),
+    "diagonal-e-not-monotone": (
+        np.array([[0.01, 0.0, 0.0], [-0.2, 0.212, 0.0], [0.0, -0.5, 0.7]]),
+        np.diag([2.0, 0.0, 2.0]),
+    ),
+    "diagonal-e-singular-iterate": (
+        np.array([[2.0, -1.0, -0.5], [-0.5, 0.717, -0.2], [0.0, 0.0, 0.01]]),
+        np.diag([1.0, 2.0, 0.0]),
+    ),
+}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    INFINITE_THRESHOLD_PAIRS,
     SAMPLE_A,
     SAMPLE_A_VSTAR_UNIFORM,
     random_nonneg_perturbation,
@@ -37,7 +38,7 @@ def _iterate(a, e):
     """The ratio iteration alone, the reference for pairs that
     buffoni_vstar solves in closed form."""
     m, pert, z = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
-    return buffoni._ratio_iteration(m, pert, z, buffoni.V_CAP * buffoni._pair_scale(m, pert))
+    return buffoni._ratio_iteration(m, pert, z, buffoni._cap(m, pert, z))
 
 
 def test_single_entry_12(sample_a):
@@ -97,11 +98,11 @@ def _reference_search(a, e, seed, abs_tol, tol):
     """Reference for the threshold search: the same bracket expansion as
     buffoni._bisect_from, narrowed by plain midpoint bisection.  Returns
     (value, number of probes)."""
-    m, pert = np.asarray(a, dtype=float), np.asarray(e, dtype=float)
+    m, pert, z = buffoni._validated_pair(a, e, tol)
     h = buffoni._pair_scale(m, pert)
     if np.isinf(h):
         return np.inf, 0
-    cap = buffoni.V_CAP * h
+    cap = buffoni._cap(m, pert, z)
     count = 0
 
     def monotone_at(v):
@@ -115,12 +116,12 @@ def _reference_search(a, e, seed, abs_tol, tol):
         seed, step = 0.0, h / m.shape[0]
     if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
-        while monotone_at(hi):
+        while hi <= cap and monotone_at(hi):
             lo = hi
             step *= 2.0
             hi = seed + step
-            if hi > cap:
-                return np.inf, count
+        if hi > cap:
+            return np.inf, count
     else:
         lo, hi = max(seed - step, 0.0), seed
         while lo > 0.0 and not monotone_at(lo):
@@ -153,7 +154,8 @@ def test_zero_perturbation_is_infinite(sample_a, probes):
     trace = buffoni_vstar(sample_a, zero)
     assert trace.status == "diverged_infinite"
     assert bisection_vstar(sample_a, zero) == np.inf
-    assert buffoni._bisect_from(sample_a, zero, np.inf, 1e-9, DEFAULT_MONOTONE_TOL) == np.inf
+    z = inverse(sample_a)
+    assert buffoni._bisect_from(sample_a, zero, z, np.inf, 1e-9, DEFAULT_MONOTONE_TOL) == np.inf
     assert not probes
 
 
@@ -293,6 +295,73 @@ def test_cap_scales_with_the_pair(sample_a, probes):
     assert bisection_vstar(a, e) == pytest.approx(exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("pair", INFINITE_THRESHOLD_PAIRS.values(), ids=INFINITE_THRESHOLD_PAIRS)
+def test_infinite_threshold_near_the_singularity_rule(pair, probes):
+    # Both searches report inf: no probe or iterate reaches the singularity
+    # rule, which the bisection would read as a break.
+    a, e = pair
+    assert buffoni_vstar(a, e).vstar == np.inf
+    assert bisection_vstar(a, e) == np.inf
+    assert all(verdict or not verdict.singular for _, verdict in probes)
+
+
+def test_iteration_stops_before_the_singularity_rule():
+    # The iteration itself, without the diagonal-E shortcut, stops at the cap
+    # before an iterate the singularity rule would refuse (about 2.8e12).
+    a, e = INFINITE_THRESHOLD_PAIRS["near-singular-e11-e22"]
+    trace = _iterate(a, e)
+    assert (trace.status, trace.vstar) == ("diverged_infinite", np.inf)
+
+
+def test_cap_keeps_half_the_singularity_budget():
+    # max|A| * max|A^-1| = 1 / 3e-14 uses two thirds of the rule's 1e14, so
+    # the cap falls from 1e12 to 0.5: past it A + v E could be refused.
+    a = np.array([[1.0, -1.0], [0.0, 3e-14]])
+    z = inverse(a)
+    cap = buffoni._cap(a, _unit(2, 0, 1), z)
+    assert cap == pytest.approx(0.5, rel=1e-12)
+    for k in (-40, 30):
+        assert buffoni._cap(2.0**k * a, _unit(2, 0, 1), 2.0**-k * z) == 2.0**k * cap
+    # Where A alone uses more than half the budget, V_CAP * h stands.
+    a[1, 1] = 1.5e-14
+    assert buffoni._cap(a, _unit(2, 0, 1), inverse(a)) == buffoni.V_CAP
+
+
+def test_closed_form_past_the_cap_is_infinite():
+    # v* = 1 exactly ((A + v E)^-1 has (1 - v) / 3e-14 at (1, 2)), past the
+    # cap of 0.5 above: the closed form keeps its one step and reports inf,
+    # and the bisection stops doubling at the cap.
+    a, e = np.array([[1.0, -1.0], [0.0, 3e-14]]), _unit(2, 0, 1)
+    trace = buffoni_vstar(a, e)
+    assert trace.iterates == (buffoni.IterationStep(v=0.0, increment=1.0, argmin=(0, 1)),)
+    assert (trace.status, trace.vstar) == ("diverged_infinite", np.inf)
+    assert bisection_vstar(a, e) == np.inf
+
+
+def test_diagonal_perturbation_of_a_z_matrix_takes_no_iterate(monkeypatch):
+    # A validated Z-matrix is an M-matrix, and so is A + v E for a diagonal
+    # E >= 0 and every v >= 0: no iterate is needed to report inf.
+    def no_iteration(*args):
+        raise AssertionError("the ratio iteration ran")
+
+    a = random_sdd_m_matrix(np.random.default_rng(47), 6)
+    reference = _iterate(a, np.eye(6)).vstar
+    monkeypatch.setattr(buffoni, "_ratio_iteration", no_iteration)
+    for e in (np.eye(6), np.diag([0.0, 1.0, 2.0, 0.0, 0.5, 1.0])):
+        trace = buffoni_vstar(a, e)
+        assert (trace.status, trace.vstar, trace.iterates) == ("diverged_infinite", np.inf, ())
+    assert reference == np.inf
+
+
+def test_diagonal_perturbation_of_a_non_z_matrix_takes_the_iteration():
+    # Monotone but not a Z-matrix: the shortcut does not apply.
+    a = np.array([[2.0, 0.1, -1.0], [-1.0, 2.0, 0.0], [0.0, -1.0, 2.0]])
+    assert is_monotone(a)
+    trace = buffoni_vstar(a, np.eye(3))
+    assert trace.iteration_count > 1
+    assert trace.vstar == pytest.approx(bisection_vstar(a, np.eye(3)), rel=1e-6)
+
+
 def test_convergence_is_relative(sample_a):
     # Below v* = 1 an absolute floor stopped this after one step at 7.2289e-14.
     a, e = 1e-12 * sample_a, np.ones((3, 3))
@@ -407,7 +476,7 @@ def test_seeded_bisection_brackets_the_threshold(pair, seed, probes):
     if seed == "just_above":
         assert not is_monotone(a + start * e)  # the search has to step down
     probes.clear()
-    got = buffoni._bisect_from(a, e, start, abs_tol, DEFAULT_MONOTONE_TOL)
+    got = buffoni._bisect_from(a, e, inverse(a), start, abs_tol, DEFAULT_MONOTONE_TOL)
     assert abs(got - unseeded) <= abs_tol
     lo, hi = _final_bracket(probes)
     assert hi - lo <= abs_tol * (1 + 1e-6)
@@ -426,7 +495,9 @@ def test_exact_seed_takes_two_probes(sample_a, scale, probes):
     e = scale * np.ones((3, 3))
     exact = buffoni_vstar(sample_a, e).vstar
     probes.clear()
-    got = buffoni._bisect_from(sample_a, e, exact, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL)
+    got = buffoni._bisect_from(
+        sample_a, e, inverse(sample_a), exact, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL
+    )
     assert [bool(verdict) for _, verdict in probes] == [True, False]
     assert got == 0.5 * (exact + (exact + buffoni.BISECT_ABS_TOL))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_nonneg_perturbation, random_sdd_m_matrix
+from conftest import INFINITE_THRESHOLD_PAIRS, random_nonneg_perturbation, random_sdd_m_matrix
 
 from monobound import bisection_vstar, buffoni, classify, cli, format_dense, graphdist, linalg
 from monobound.cli import main
@@ -296,6 +296,26 @@ def test_vstar_both_seeds_only_from_a_converged_value(capsys, monkeypatch, tmp_p
     assert len(probes) <= unseeded
 
 
+@pytest.mark.parametrize("pair", INFINITE_THRESHOLD_PAIRS.values(), ids=INFINITE_THRESHOLD_PAIRS)
+def test_vstar_both_infinite_threshold(capsys, tmp_path, pair):
+    a_path, e_path = tmp_path / "a.txt", tmp_path / "e.txt"
+    a_path.write_text(format_dense(pair[0]))
+    e_path.write_text(format_dense(pair[1]))
+    section = run_json(capsys, ["vstar", str(a_path), str(e_path), "--method", "both"])["vstar"]
+    assert section["buffoni"]["value"] == section["bisection"]["value"] == "inf"
+    assert section["discrepancy"] == 0.0
+
+
+def test_vstar_validates_once_for_every_method(capsys, monkeypatch, sample_file, tmp_path):
+    pert = tmp_path / "ones.txt"
+    pert.write_text(format_dense(np.ones((3, 3))))
+    validations = _count_calls(monkeypatch, buffoni, "_validated_pair")
+    for method in ("buffoni", "bisect", "both"):
+        validations.clear()
+        run_json(capsys, ["vstar", sample_file, str(pert), "--method", method])
+        assert len(validations) == 1
+
+
 def test_vstar_negative_perturbation(capsys, sample_file, tmp_path):
     pert = tmp_path / "neg.txt"
     pert.write_text("3 1\n1 2 -1.0\n")
@@ -450,6 +470,23 @@ def test_no_command_imports_scipy(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_module_entry_point(tmp_path):
+    # python -m monobound.cli runs console_main, the installed script's target.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def entry(*argv):
+        command = [sys.executable, "-m", "monobound.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True, cwd=tmp_path)
+
+    result = entry("laplacian", "--s", "1", "--t", "2", "--d", "0.5")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout, parse_constant=lambda token: pytest.fail(token))
+    assert report["command"] == "laplacian"
+    result = entry("classify", "missing.txt")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "missing.txt" in result.stderr
 
 
 @pytest.mark.parametrize("comment, line", [("", 1), ("# c\n", 2)])
