@@ -26,6 +26,7 @@ from .classify import (
     is_m_matrix,
     is_monotone,
     is_quasi_doubly_stochastic,
+    is_z_matrix,
     sigma_vector,
 )
 from .errors import (
@@ -179,7 +180,7 @@ def _hypotheses(a, monotone) -> tuple[np.ndarray | None, bool]:
         sigma = sigma_vector(a)
     except ZeroDiagonal:
         sigma = None
-    return sigma, _m_matrix_rule(a, monotone)
+    return sigma, _m_matrix_rule(is_z_matrix(a), monotone)
 
 
 def _preconditions(sigma, m_matrix: bool, kind: str, dominant) -> tuple[bool, str]:
@@ -220,7 +221,7 @@ def corollary_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     with :func:`main_bound`."""
     m = as_square_matrix(a)
     witness = _monotone_check(inverse(m), tol)
-    return _corollary_bound(m, witness.value, _m_matrix_rule(m, lambda: witness))
+    return _corollary_bound(m, witness.value, _m_matrix_rule(is_z_matrix(m), lambda: witness))
 
 
 def _corollary_bound(m: np.ndarray, min_entry: float, m_matrix: bool) -> BoundResult:

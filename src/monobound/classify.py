@@ -109,13 +109,13 @@ def is_z_matrix(a) -> bool:
 
 def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
     """Nonsingular M-matrix test: Z sign pattern plus a nonnegative inverse."""
-    return _m_matrix_rule(a, lambda: is_monotone(a, tol))
+    return _m_matrix_rule(is_z_matrix(a), lambda: is_monotone(a, tol))
 
 
-def _m_matrix_rule(a, monotone) -> bool:
-    """The one M-matrix verdict: ``a`` is a Z-matrix and ``monotone()``, its
-    :class:`MonotoneCheck`, is truthy (called only for a Z-matrix)."""
-    return is_z_matrix(a) and bool(monotone())
+def _m_matrix_rule(z_matrix: bool, monotone) -> bool:
+    """The one M-matrix verdict: ``z_matrix``, the :func:`is_z_matrix` flag,
+    and ``monotone()``, a :class:`MonotoneCheck` called only after it."""
+    return z_matrix and bool(monotone())
 
 
 def is_strictly_diag_dominant(a) -> bool:
@@ -230,9 +230,10 @@ def classify_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> ClassificationRepor
     sigma = sigma_vector(m)
     witness = is_monotone(m, tol)
     irreducible = is_irreducible(m)
+    z_matrix = is_z_matrix(m)
     return ClassificationReport(
-        is_z_matrix=is_z_matrix(m),
-        is_m_matrix=_m_matrix_rule(m, lambda: witness),
+        is_z_matrix=z_matrix,
+        is_m_matrix=_m_matrix_rule(z_matrix, lambda: witness),
         is_monotone=witness.monotone,
         is_strictly_diag_dominant=bool(np.all(sigma < 1.0)),
         is_irreducibly_diag_dominant=_irreducible_dominance_rule(sigma, lambda: irreducible),

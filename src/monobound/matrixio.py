@@ -7,10 +7,14 @@ positions are an error.  Blank lines and lines whose first non-blank
 character is '#' are ignored everywhere.  A real is any token that Python's
 ``float()`` accepts and that is finite.
 
-Both formats have numpy paths, and the per-token parser is kept as the
-fallback that produces every error message: wherever numpy's result is not
-kept, the text goes through the per-token parser, which returns the same
-matrix or raises the error that names the first bad line.
+Files are read as bytes.  Both formats have numpy paths, and the per-token
+parser is kept as the fallback that produces every error message: wherever
+numpy's result is not kept, the text goes through the per-token parser,
+which returns the same matrix or raises the error that names the first bad
+line.  The plain-form paths below read the bytes; only the per-row and
+per-token paths decode them as UTF-8, where a bad byte is an error naming
+its line.  A carriage return is never plain, so a CRLF file takes those
+paths, with the same values.
 
 - Dense rows are converted by one ``np.fromstring(row, sep=" ")`` call each.
   The result is kept only if no call raised or warned, every row gave
@@ -30,20 +34,20 @@ matrix or raises the error that names the first bad line.
   count, the index ranges and the absence of duplicates check out and every
   value is finite.  Any other coordinate text goes through the per-token
   parser alone.
-- Dense text of at least ``_PLAIN_DENSE_MIN_CHARS`` characters in its plain
+- Dense text of at least ``_PLAIN_DENSE_MIN_CHARS`` bytes in its plain
   form is converted exactly through integers, in blocks of whole rows.  The
   plain form is the header "n" in ASCII digits and then n lines of n tokens,
   each an optional "-", digits, "." and digits, separated by one space and
   each line ended by a newline, with nothing else in the text: what ``repr``
   writes for ``abs(x)`` in [1e-4, 1e16).  Each token's digits are read as
   one integer w by ``np.fromstring(..., dtype=np.int64)``, and w / 10^k, k
-  the number of fraction digits, is rounded to the nearest double by integer
-  arithmetic, so the value is ``float(token)`` bit for bit.  A token whose w
-  reaches 10^18, or with more than 18 fraction digits, is converted by
-  ``float()``.  Any other dense text (shorter text, an exponent, an integer
-  token, ".5", "5.", "+", a tab, a run of spaces, a carriage return, a
-  comment, a blank line, non-ASCII text, no final newline) takes the
-  per-row path above.
+  the number of fraction digits, is rounded to the nearest double: by one
+  division below 2^53, by integer arithmetic above, so the value is
+  ``float(token)`` bit for bit.  A token whose w reaches 10^18, or with
+  more than 18 fraction digits, is converted by ``float()``.  Any other
+  dense text (shorter text, an exponent, an integer token, ".5", "5.", "+",
+  a tab, a run of spaces, a carriage return, a comment, a blank line,
+  non-ASCII text, no final newline) takes the per-row path above.
 """
 
 from __future__ import annotations
@@ -64,14 +68,14 @@ from .errors import MatrixParseError
 #: linear in the text's length.  An index of at most 15 digits is an integer
 #: below 2^53, so numpy reads it exactly and ``int()`` accepts it.  Python's
 #: re engine keeps a backtracking record per token until the match ends,
-#: about 1.4 MB for a 1,065-line file.  Freeing that block raises glibc's
-#: mmap and trim thresholds, so a long-running process stops returning and
-#: re-faulting the heap that its n-by-n arrays reuse: on the vstar_grid
-#: benchmark that is most of the saving (1,091 minor faults per op to 0).
+#: about 1.4 MB for a 1,065-line file, on bytes as on str.  Freeing that
+#: block raises glibc's mmap and trim thresholds, so a long-running process
+#: stops returning and re-faulting the heap that its n-by-n arrays reuse: on
+#: vstar_grid ops that took 1,091 minor faults per op to 0 (still 0 on bytes).
 _PLAIN_COORD = re.compile(
-    r"([0-9]{1,15})[ \t]+([0-9]{1,15})\n"
-    r"((?:[0-9]{1,15}[ \t]+[0-9]{1,15}[ \t]+"
-    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\n)*)"
+    rb"([0-9]{1,15})[ \t]+([0-9]{1,15})\n"
+    rb"((?:[0-9]{1,15}[ \t]+[0-9]{1,15}[ \t]+"
+    rb"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\n)*)"
 )
 
 #: Plain dense text shorter than this keeps the per-row path, whose fixed
@@ -96,14 +100,7 @@ _PLAIN_DENSE_BLOCK_CHARS = 2**16
 def read_matrix(path) -> np.ndarray:
     """Parse a matrix file; the header line decides the format.  A file that
     is not UTF-8 text raises :class:`MatrixParseError` naming the line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; "?" stands in for it, so the
-        # count is the line the parser would have numbered.
-        line = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
-        raise MatrixParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    return parse_matrix(text, name=str(path))
+    return _parse(Path(path).read_bytes(), str(path))
 
 
 def parse_matrix(text: str, name: str = "<input>") -> np.ndarray:
@@ -113,11 +110,25 @@ def parse_matrix(text: str, name: str = "<input>") -> np.ndarray:
     ("n nnz") coordinate text.  Errors raise :class:`MatrixParseError`
     with a "name:line:" prefix.
     """
-    out = _coord_numpy(text, name)
+    return _parse(text.encode("utf-8", "surrogatepass"), name, text)
+
+
+def _parse(data: bytes, name: str, text: str | None = None) -> np.ndarray:
+    """:func:`parse_matrix` of the bytes ``data``, decoded as UTF-8 (or given
+    as ``text``) only when no plain-form path takes them."""
+    out = _coord_numpy(data, name)
     if out is None:
-        out = _plain_dense_numpy(text)
+        out = _plain_dense_numpy(data)
     if out is not None:
         return out
+    if text is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bytes before the bad one decode; "?" stands in for it, so
+            # the count is the line the parser would have numbered.
+            line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+            raise MatrixParseError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
     lines = _content_lines(text)
     if not lines:
         raise MatrixParseError(f"{name}: no content lines")
@@ -211,26 +222,26 @@ def _dense_rows_numpy(n: int, rows) -> np.ndarray | None:
     return out if np.isfinite(out).all() else None
 
 
-def _plain_dense_numpy(text: str) -> np.ndarray | None:
+def _plain_dense_numpy(data: bytes) -> np.ndarray | None:
     """Plain dense text (see the module docstring) of at least
-    ``_PLAIN_DENSE_MIN_CHARS`` characters converted by exact integer
-    arithmetic, or None when the other dense paths must decide."""
-    if len(text) < _PLAIN_DENSE_MIN_CHARS or text[-1] != "\n":
+    ``_PLAIN_DENSE_MIN_CHARS`` bytes converted by exact integer arithmetic,
+    or None when the other dense paths must decide."""
+    if len(data) < _PLAIN_DENSE_MIN_CHARS or not data.endswith(b"\n"):
         return None
-    start = text.find("\n") + 1
-    header = text[: start - 1]
-    if not (0 < len(header) <= 15 and header.isascii() and header.isdigit()):
+    start = data.find(b"\n") + 1
+    header = data[: start - 1]
+    if not (0 < len(header) <= 15 and header.isdigit()):
         return None
     n = int(header)
-    # A token and its separator take at least 4 characters ("0.0 "), so the
-    # n^2 floats are allocated only for text that can hold n^2 tokens.
-    if n < 1 or len(text) - start < 4 * n * n:
+    # A token and its separator take at least 4 bytes ("0.0 "), so the n^2
+    # floats are allocated only for text that can hold n^2 tokens.
+    if n < 1 or len(data) - start < 4 * n * n:
         return None
     out = np.empty(n * n)
     done = 0
-    while start < len(text):
-        end = text.find("\n", start + _PLAIN_DENSE_BLOCK_CHARS - 1) + 1 or len(text)
-        values = _plain_dense_block(text[start:end], n)
+    while start < len(data):
+        end = data.find(b"\n", start + _PLAIN_DENSE_BLOCK_CHARS - 1) + 1 or len(data)
+        values = _plain_dense_block(data[start:end], n)
         if values is None or done + values.size > out.size:
             return None
         out[done : done + values.size] = values
@@ -239,13 +250,9 @@ def _plain_dense_numpy(text: str) -> np.ndarray | None:
     return out.reshape(n, n) if done == out.size else None
 
 
-def _plain_dense_block(block: str, n: int) -> np.ndarray | None:
-    """The values of ``block``, whole plain rows of n tokens, or None when it
+def _plain_dense_block(raw: bytes, n: int) -> np.ndarray | None:
+    """The values of ``raw``, whole plain rows of n tokens, or None when it
     is not plain."""
-    try:
-        raw = block.encode("ascii")
-    except UnicodeEncodeError:
-        return None
     b = np.frombuffer(raw, dtype=np.uint8)
     pos = np.flatnonzero(b < 48)
     kind = b[pos]
@@ -293,15 +300,16 @@ def _plain_dense_block(block: str, n: int) -> np.ndarray | None:
         values = np.empty(tokens)
         values[exact] = _decimal_to_double(w[exact], k[exact])
         for i in np.flatnonzero(~exact):
-            values[i] = float(block[starts[i] + negative[i] : seps[i]])
+            values[i] = float(raw[starts[i] + negative[i] : seps[i]])
         if not np.isfinite(values).all():
             return None
     np.negative(values, out=values, where=negative)
     return values
 
 
-#: For k = 0..18: 5^k; two steps of at most 21 bits that add up to t, where
-#: 2^t <= 5^k < 2^(t+1); and -(t + k).
+#: For k = 0..18: 10^k as a double (exact); 5^k; two steps of at most 21
+#: bits that add up to t, where 2^t <= 5^k < 2^(t+1); and -(t + k).
+_POW10 = np.array([10**k for k in range(19)], dtype=np.float64)
 _POW5 = np.array([5**k for k in range(19)], dtype=np.int64)
 _POW5_BITS = [(5**k).bit_length() - 1 for k in range(19)]
 _STEPS = np.array([[min(t, 21) for t in _POW5_BITS], [max(t - 21, 0) for t in _POW5_BITS]])
@@ -312,30 +320,38 @@ def _decimal_to_double(w: np.ndarray, k: np.ndarray) -> np.ndarray:
     """w / 10^k correctly rounded, for int64 w in [0, 10^18) and k in 1..18
     (w = 0 gives 0.0).
 
-    w / 10^k = (w / 5^k) 2^-k.  w is shifted to W in [2^61, 2^63), and
-    W 2^t / 5^k = Q + r / 5^k (2^t <= 5^k) is formed by one division and two
-    extension steps: r < 5^18 < 2^42, so r shifted by at most 21 bits fits,
-    and Q lies in [2^60, 2^63).  Setting Q's lowest bit when r > 0 keeps
-    the side of every rounding boundary (at least 8 bits are dropped), so
-    the int-to-float conversion rounds Q half to even as it would Q + r/5^k.
-    The result lies in [1e-18, 1e18), a normal double, so ``ldexp`` scales
-    it exactly.
+    Below 2^53, w and 10^k (k <= 22) are exact doubles, so one IEEE division
+    is correctly rounded (Clinger, "How to Read Floating Point Numbers
+    Accurately", PLDI 1990).  From 2^53 on, w / 10^k = (w / 5^k) 2^-k.  w is
+    shifted to W in [2^61, 2^63), and W 2^t / 5^k = Q + r / 5^k
+    (2^t <= 5^k) is formed by one division and two extension steps:
+    r < 5^18 < 2^42, so r shifted by at most 21 bits fits, and Q lies in
+    [2^60, 2^63).  Setting Q's lowest bit when r > 0 keeps the side of every
+    rounding boundary (at least 8 bits are dropped), so the int-to-float
+    conversion rounds Q half to even as it would Q + r/5^k.  The result lies
+    in [1e-18, 1e18), a normal double, so ``ldexp`` scales it exactly.
     """
-    shift = 63 - np.frexp(w.astype(np.float64))[1]
-    divisor = _POW5[k]
-    q, r = np.divmod(w << shift, divisor)
-    for step in _STEPS[:, k]:
-        more, r = np.divmod(r << step, divisor)
-        q = (q << step) | more
-    return np.ldexp((q | (r != 0)).astype(np.float64), _EXPONENT[k] - shift)
+    wf = w.astype(np.float64)
+    values = wf / _POW10.take(k)
+    wide = np.flatnonzero(wf >= 2.0**53)
+    if wide.size:
+        w, k, shift = w[wide], k[wide], 63 - np.frexp(wf[wide])[1]
+        divisor = _POW5.take(k)
+        q, r = np.divmod(w << shift, divisor)
+        for steps in _STEPS:
+            step = steps.take(k)
+            more, r = np.divmod(r << step, divisor)
+            q = (q << step) | more
+        values[wide] = np.ldexp((q | (r != 0)).astype(np.float64), _EXPONENT.take(k) - shift)
+    return values
 
 
-def _coord_numpy(text: str, name: str = "<input>") -> np.ndarray | None:
+def _coord_numpy(data: bytes, name: str = "<input>") -> np.ndarray | None:
     """Plain coordinate text converted by numpy, or None when the per-token
     parser must decide (also for any text that is not plain coordinate
     text).  The checks mirror :func:`_parse_coord`'s, so a matrix is
     returned exactly when that parser would return the same one."""
-    match = _PLAIN_COORD.fullmatch(text)
+    match = _PLAIN_COORD.fullmatch(data)
     if match is None:
         return None
     n, nnz = int(match[1]), int(match[2])

@@ -183,6 +183,16 @@ def test_bounds_decides_each_hypothesis_once(capsys, monkeypatch, sample_file, w
     assert {name: len(calls[name]) for name in counts} == counts
 
 
+def test_classify_tests_the_z_pattern_once(capsys, monkeypatch, sample_file):
+    calls = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in [(linalg, "inverse"), (classify, "is_z_matrix")]
+    }
+    report = run_json(capsys, ["classify", sample_file])
+    assert {name: len(calls[name]) for name in calls} == {"inverse": 1, "is_z_matrix": 1}
+    assert report["classification"]["is_z_matrix"] and report["classification"]["is_m_matrix"]
+
+
 def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_file, tmp_path):
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))

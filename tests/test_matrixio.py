@@ -246,11 +246,11 @@ def test_numpy_path_agrees_with_per_token_parser(text):
 def test_numpy_path_reads_plain_coordinate_text():
     # Tabs, a leading zero, and values in every form the plain grammar takes.
     text = "3\t5\n1 1 -0\n01 2 .5\n2\t3 5.\n3 1 +.5e-3\n3 3 1E-400\n"
-    fast = matrixio._coord_numpy(text)
+    fast = matrixio._coord_numpy(text.encode())
     assert fast is not None
     assert fast.view(np.uint64).tolist() == _per_token_outcome(text)
     assert np.signbit(fast[0, 0]) and fast[0, 1] == 0.5 and fast[2, 0] == 5e-4
-    assert np.array_equal(matrixio._coord_numpy("2 0\n"), np.zeros((2, 2)))
+    assert np.array_equal(matrixio._coord_numpy(b"2 0\n"), np.zeros((2, 2)))
 
 
 PLAIN = np.array([[1.5, 0.0], [-2.0, 0.0]])
@@ -307,7 +307,7 @@ COORD_FALLBACKS = {
 
 @pytest.mark.parametrize("text, expected", COORD_FALLBACKS.values(), ids=COORD_FALLBACKS.keys())
 def test_coordinate_fallback(text, expected):
-    assert matrixio._coord_numpy(text) is None
+    assert matrixio._coord_numpy(text.encode()) is None
     if isinstance(expected, str):
         with pytest.raises(MatrixParseError) as err:
             parse_matrix(text)
@@ -338,7 +338,7 @@ def test_plain_form_check_is_linear_in_token_length(text):
     # A grammar with two ways to split a run of digits would backtrack
     # quadratically in the failing cases here.
     start = time.perf_counter()
-    matrixio._coord_numpy(text)
+    matrixio._coord_numpy(text.encode())
     assert time.perf_counter() - start < 0.5
     assert _outcome(text) == _per_token_outcome(text)
 
@@ -416,7 +416,7 @@ def _integer_path(text, gate=GATE, block=matrixio._PLAIN_DENSE_BLOCK_CHARS):
         mock.patch.object(matrixio, "_PLAIN_DENSE_MIN_CHARS", gate),
         mock.patch.object(matrixio, "_PLAIN_DENSE_BLOCK_CHARS", block),
     ):
-        return matrixio._plain_dense_numpy(text)
+        return matrixio._plain_dense_numpy(text.encode())
 
 
 def _assert_exact(text, **sizes):
@@ -594,3 +594,181 @@ def test_integer_path_allocates_only_for_text_that_can_hold_n_squared_tokens():
     text = "10000000\n" + "1.5 " * (GATE // 4) + "1.5\n"
     assert _integer_path(text) is None
     assert _outcome(text) == "<input>: expected 10000000 matrix rows, found 1"
+
+
+# Reading files as bytes: read_matrix gives what reading the file as UTF-8
+# text (universal newlines, as Path.read_text does) and parsing it gives.
+
+DENSE_LINES = ["3", "1.6 0 -0.6", "-0.4 1.4 0", "-0.2 -0.4 1.6"]
+COORD_LINES = ["3 4", "1 1 2.0", "1 3 -0.5", "2 2 1.0", "3 3 4.0"]
+# Large enough for the integer path (dense) and a long regex match (coord).
+_RNG = np.random.default_rng(19)
+LARGE_DENSE_LINES = ["40"] + [
+    " ".join(repr(float(x)) for x in row) for row in _RNG.uniform(-1.0, 10.0, (40, 40))
+]
+LARGE_COORD_LINES = ["40 1600"] + [
+    f"{i + 1} {j + 1} {float(x)!r}"
+    for (i, j), x in np.ndenumerate(_RNG.uniform(-1.0, 10.0, (40, 40)))
+]
+
+
+def _join(lines, end="\n", final=True):
+    return (end.join(lines) + (end if final else "")).encode()
+
+
+def _on_line(lines, k, old, new):
+    """``lines`` with the first ``old`` in line k (1-based) replaced by ``new``."""
+    assert old in lines[k - 1]
+    return lines[: k - 1] + [lines[k - 1].replace(old, new, 1)] + lines[k:]
+
+
+def _file_variants(lines):
+    """Raw bytes of ``lines`` in every form the corpus covers."""
+    return {
+        "lf": _join(lines),
+        "crlf": _join(lines, "\r\n"),
+        "cr": _join(lines, "\r"),
+        "cr_cr_lf": _join(lines, "\r\r\n"),
+        "bom": b"\xef\xbb\xbf" + _join(lines),
+        "non_ascii_digit": _join(_on_line(lines, 2, "1", "\u0661")),
+        "unicode_space": _join(_on_line(lines, 2, " ", "\u2003")),
+        "tab": _join(_on_line(lines, 2, " ", "\t")),
+        "no_final_newline": _join(lines, final=False),
+        "crlf_bad_token": _join(_on_line(lines, 3, " ", " oops "), "\r\n"),
+        "cr_bad_token": _join(_on_line(lines, 3, " ", " oops "), "\r"),
+    }
+
+
+FILE_CORPUS = {"empty": b""}
+for _kind, _lines in [
+    ("dense", DENSE_LINES),
+    ("coord", COORD_LINES),
+    ("large_dense", LARGE_DENSE_LINES),
+    ("large_coord", LARGE_COORD_LINES),
+]:
+    FILE_CORPUS.update({f"{_kind}_{v}": data for v, data in _file_variants(_lines).items()})
+
+# Files that are not UTF-8 text, with the line of the first bad byte.
+BAD_UTF8_FILES = {
+    "dense_bad_byte": (_join(DENSE_LINES).replace(b"1.4", b"1.\xff4"), 3),
+    "dense_crlf_bad_byte": (_join(DENSE_LINES, "\r\n").replace(b"-0.2", b"-0.\xc32"), 4),
+    "dense_cr_bad_byte": (_join(DENSE_LINES, "\r").replace(b"1.4", b"1.\xff4"), 3),
+    "coord_bad_byte": (_join(COORD_LINES).replace(b"2 2", b"2 \xff2"), 4),
+    "coord_truncated_sequence": (_join(COORD_LINES) + b"\xe2\x82", 6),
+    "large_dense_bad_byte": (_join(LARGE_DENSE_LINES)[:-2] + b"\x80\n", 41),
+}
+
+
+def _text_outcome(path):
+    """What reading ``path`` as UTF-8 text and parsing it gives."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        return parse_matrix(text, name=str(path)).view(np.uint64).tolist()
+    except MatrixParseError as err:
+        return str(err)
+
+
+def _file_outcome(path):
+    """:func:`_text_outcome` of :func:`read_matrix`."""
+    try:
+        return read_matrix(path).view(np.uint64).tolist()
+    except MatrixParseError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("data", FILE_CORPUS.values(), ids=FILE_CORPUS.keys())
+def test_read_matrix_matches_reading_text(tmp_path, data):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    assert _file_outcome(path) == _text_outcome(path)
+
+
+def test_file_corpus_reaches_values_and_errors():
+    # Line ends of every kind give the LF file's matrix, and the bad tokens
+    # are named on the same line whatever ends the lines.
+    for kind, lines in [("dense", DENSE_LINES), ("large_coord", LARGE_COORD_LINES)]:
+        want = parse_matrix(_join(lines).decode())
+        for variant in ("crlf", "cr", "cr_cr_lf", "no_final_newline"):
+            text = FILE_CORPUS[f"{kind}_{variant}"].decode()
+            assert np.array_equal(parse_matrix(text).view(np.uint64), want.view(np.uint64))
+    assert _outcome(FILE_CORPUS["dense_crlf_bad_token"].decode()) == (
+        "<input>:3: row 2 has 4 entries, expected 3"
+    )
+    assert _outcome(FILE_CORPUS["coord_cr_bad_token"].decode()) == (
+        "<input>:3: entry line must be 'i j value'"
+    )
+
+
+@pytest.mark.parametrize("data, line", BAD_UTF8_FILES.values(), ids=BAD_UTF8_FILES.keys())
+def test_read_matrix_names_the_line_of_a_bad_byte(tmp_path, data, line):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_text(encoding="utf-8")
+    assert _file_outcome(path) == f"{path}:{line}: not UTF-8 text ({exc.value.reason})"
+
+
+def test_crlf_file_takes_the_per_row_path_with_the_same_values(tmp_path):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(_join(LARGE_DENSE_LINES))
+    crlf.write_bytes(_join(LARGE_DENSE_LINES, "\r\n"))
+    with mock.patch.object(
+        matrixio, "_dense_rows_numpy", wraps=matrixio._dense_rows_numpy
+    ) as per_row:
+        fast = read_matrix(lf)
+        assert per_row.call_count == 0
+        slow = read_matrix(crlf)
+        assert per_row.call_count == 1
+    assert np.array_equal(slow.view(np.uint64), fast.view(np.uint64))
+
+
+def test_parse_matrix_keeps_a_lone_surrogate_for_the_per_token_parser():
+    assert np.array_equal(parse_matrix("# \ud800\n1\n2\n"), [[2.0]])
+    assert _outcome("1\n\ud800\n") == "<input>:2: expected a real number, got '\\ud800'"
+
+
+# The decimal fast path: w < 2^53 takes one division, larger w the exact
+# integer rounding.
+
+FAST_PATH_W = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 10**18 - 1]
+
+
+def _decimal(w, k, sign=""):
+    """The fixed-notation token of w / 10^k."""
+    digits = str(w).rjust(k + 1, "0")
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+
+def _assert_matches_float(w, k):
+    got = matrixio._decimal_to_double(np.array(w, dtype=np.int64), np.array(k))
+    want = np.array([float(_decimal(int(a), int(b))) for a, b in zip(w, k)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 16, 17, 18])
+def test_decimal_fast_path_boundaries(k):
+    _assert_matches_float(FAST_PATH_W, [k] * len(FAST_PATH_W))
+    # Both signs, through a whole plain block.
+    tokens = [_decimal(w, k, sign) for w in FAST_PATH_W for sign in ("", "-")]
+    tokens += ["1.5"] * (16 - len(tokens))
+    _assert_exact(_plain_text(tokens, 4), gate=0)
+
+
+def test_decimal_block_takes_both_paths():
+    rng = np.random.default_rng(53)
+    w = np.concatenate([rng.integers(0, 2**53, 32), rng.integers(2**53, 10**18, 32)])
+    k = rng.integers(1, 19, 64)
+    rng.shuffle(w)
+    tokens = [_decimal(int(a), int(b), sign) for a, b, sign in zip(w, k, ["", "-"] * 32)]
+    _assert_exact(_plain_text(tokens, 8), gate=0)
+
+
+def test_decimal_to_double_matches_float_on_a_sweep():
+    # About 10^5 (w, k) pairs, w log-uniform over [1, 10^18).
+    rng = np.random.default_rng(1990)
+    size = 100_000
+    w = (10.0 ** rng.uniform(0.0, 18.0, size)).astype(np.int64)
+    w = np.minimum(w, 10**18 - 1)
+    k = rng.integers(1, 19, size)
+    assert 0.2 < np.mean(w < 2**53) < 0.98
+    _assert_matches_float(w, k)
