@@ -144,6 +144,10 @@ def sigma_via_determinant(a) -> float:
     """Total of the inverse entries from two determinants:
     det(A + J) / det(A) - 1, with J the all-ones matrix.
 
+    It computes the same total as :func:`inverse_stats` by another route,
+    and is kept on purpose as the tests' independent check of that total;
+    no command calls it.
+
     The total is taken for ``A`` scaled by the power of two that brings
     ``max|A|`` into [0.5, 1) and scaled back, so J is neither lost against a
     huge ``A`` nor swamps a tiny one, and ``cA`` gives exactly ``1/c`` times

@@ -4,6 +4,13 @@ and an independent bracketing oracle over the monotonicity predicate
 (bisection whose probes are placed by ITP interpolation between the
 inverses at the bracket ends).
 
+For a rank-one E a probe of the oracle first tries a certified verdict: the
+Sherman-Morrison candidate for (A + v E)^-1 and one residual product prove,
+when the margin allows, that the predicate on the candidate gives the
+predicate on the exact inverse (:func:`_certified_check`).  Otherwise the
+probe inverts by LAPACK as for a general E.  The proof holds for the matrix
+whatever the candidate, so the oracle stays independent of the closed form.
+
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
 monotone A and an entrywise-nonnegative E.  The iteration and search settings
 are the fixed module constants below.
@@ -17,7 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_inverse, is_z_matrix
+from .classify import (
+    DEFAULT_MONOTONE_TOL,
+    MonotoneCheck,
+    _monotone_check,
+    _monotone_inverse,
+    is_z_matrix,
+)
 from .errors import (
     DimensionMismatch,
     NegativePerturbation,
@@ -34,6 +47,8 @@ W_FLOOR = 1e-14
 #: E counts as rank one when max|E - u w^T| <= RANK_ONE_RTOL * max E.
 RANK_ONE_RTOL = 1e-14
 BISECT_ABS_TOL = 1e-9
+#: Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class IterationStep(NamedTuple):
@@ -121,16 +136,19 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     M-matrix, A + v E stays one for every v >= 0, and v* = math.inf is
     reported after no step.
     """
-    return _buffoni_from(*_validated_pair(a, e, tol))
+    m, pert, z = _validated_pair(a, e, tol)
+    return _buffoni_from(m, pert, z, _rank_one_terms(pert, z))
 
 
-def _buffoni_from(m: np.ndarray, pert: np.ndarray, z: np.ndarray) -> BuffoniTrace:
+def _buffoni_from(
+    m: np.ndarray, pert: np.ndarray, z: np.ndarray, rank_one: _RankOneTerms | None
+) -> BuffoniTrace:
     """:func:`buffoni_vstar` on a pair that already passed
-    :func:`_validated_pair`, with ``z`` the inverse of A."""
+    :func:`_validated_pair`, with ``z`` the inverse of A and ``rank_one``
+    the :func:`_rank_one_terms` of the pair."""
     cap = _cap(m, pert, z)
-    factors = _rank_one_factors(pert)
-    if factors is not None:
-        return _rank_one_vstar(*factors, z, cap)
+    if rank_one is not None:
+        return _rank_one_vstar(*rank_one, z, cap)
     if np.count_nonzero(pert) == np.count_nonzero(np.diagonal(pert)) and is_z_matrix(m):
         return BuffoniTrace((), "diverged_infinite", math.inf)
     return _ratio_iteration(m, pert, z, cap)
@@ -147,6 +165,21 @@ def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if float(np.abs(pert - np.outer(u, w)).max()) > RANK_ONE_RTOL * top:
         return None
     return u, w
+
+
+#: (p, q, s) = (Z u, w^T Z, w^T Z u) for a rank-one E = u w^T and Z = A^-1.
+_RankOneTerms = tuple[np.ndarray, np.ndarray, float]
+
+
+def _rank_one_terms(pert: np.ndarray, z: np.ndarray) -> _RankOneTerms | None:
+    """The Sherman-Morrison terms (p, q, s) of E against ``z`` = A^-1, found
+    once per pair, or None when E is not rank one (:func:`_rank_one_factors`)."""
+    factors = _rank_one_factors(pert)
+    if factors is None:
+        return None
+    u, w = factors
+    p = z @ u
+    return p, w @ z, float(w @ p)
 
 
 def _usable_denominators(w: np.ndarray, v: float) -> np.ndarray:
@@ -170,16 +203,15 @@ def _min_ratio(
     return max(float(ratios[pick]), 0.0), pick
 
 
-def _rank_one_vstar(u: np.ndarray, w: np.ndarray, z: np.ndarray, cap: float) -> BuffoniTrace:
-    """Exact v* for E = u w^T from Z = A^-1.
+def _rank_one_vstar(
+    p: np.ndarray, q: np.ndarray, s: float, z: np.ndarray, cap: float
+) -> BuffoniTrace:
+    """Exact v* for E = u w^T from Z = A^-1 and its terms p = Z u,
+    q^T = w^T Z and s = w^T p.
 
-    With p = Z u, q^T = w^T Z and s = w^T p, Sherman-Morrison gives
-    (A + v E)^-1 = Z - v p q^T / (1 + v s), whose (i, j) entry stays
-    nonnegative exactly while v (p_i q_j - s z_ij) <= z_ij.  W = Z E Z is
-    p q^T, masked and checked as in the iteration."""
-    p = z @ u
-    q = w @ z
-    s = float(w @ p)
+    Sherman-Morrison gives (A + v E)^-1 = Z - v p q^T / (1 + v s), whose
+    (i, j) entry stays nonnegative exactly while v (p_i q_j - s z_ij) <= z_ij.
+    W = Z E Z is p q^T, masked and checked as in the iteration."""
     pq = np.outer(p, q)
     den = pq - s * z
     vstar, pick = _min_ratio(z, den, _usable_denominators(pq, 0.0) & (den > 0.0))
@@ -232,24 +264,108 @@ def bisection_vstar(
     bracket ends, so a search never takes more than one probe beyond plain
     bisection of the same bracket, and usually takes about a third of its
     probes.  Only the predicate's verdicts move the bracket ends.
+
+    For a rank-one E a probe takes no LAPACK inverse when a residual bound
+    proves its verdict (:func:`_certified_check` on the Sherman-Morrison
+    candidate), and inverts A + v E otherwise.  A certified verdict is a
+    fact about A + v E itself, whatever the candidate, so the oracle still
+    never takes the closed form's word for v*: a wrong candidate costs an
+    inverse, not a wrong verdict.
     """
-    return _bisect_from(*_validated_pair(a, e, tol), 0.0, abs_tol, tol)
+    m, pert, z = _validated_pair(a, e, tol)
+    return _bisect_from(m, pert, z, 0.0, abs_tol, tol, _rank_one_terms(pert, z))
 
 
 def _checked_inverse(
-    m: np.ndarray, pert: np.ndarray, v: float, tol: float
+    m: np.ndarray,
+    pert: np.ndarray,
+    v: float,
+    tol: float,
+    z: np.ndarray,
+    rank_one: _RankOneTerms | None,
 ) -> tuple[MonotoneCheck, np.ndarray | None]:
     """One probe of the search: the monotonicity verdict on A + v E and the
-    inverse it tested (None when A + v E is singular)."""
-    return _monotone_inverse(m + v * pert, tol)
+    matrix it tested (None when A + v E is singular).
+
+    With ``rank_one``, the :func:`_rank_one_terms` of E against ``z`` = A^-1,
+    the tested matrix is the Sherman-Morrison candidate
+    Z - v p q^T / (1 + v s) when :func:`_certified_check` proves its verdict;
+    otherwise, and for a general E, it is the inverse of A + v E."""
+    probe = m + v * pert
+    if rank_one is not None:
+        p, q, s = rank_one
+        # A zero or overflowing 1 + v s gives a non-finite candidate, which
+        # the certificate declines.
+        with np.errstate(all="ignore"):
+            candidate = z - np.outer(p * v / (1.0 + v * s), q)
+        verdict = _certified_check(probe, candidate, tol)
+        if verdict is not None:
+            return verdict, candidate
+    return _monotone_inverse(probe, tol)
+
+
+def _certified_check(m: np.ndarray, z: np.ndarray, tol: float) -> MonotoneCheck | None:
+    """:func:`classify._monotone_check` of ``z`` when a residual bound proves
+    it is also the verdict on the exact inverse of ``m``; None otherwise.
+
+    With R = I - m z, every entry of m^-1 - z = z R (I - R)^-1 is at most
+    delta = ||z|| rho / (1 - rho) in magnitude for any rho >= ||R|| below 1
+    (infinity norms).  The computed residual is within
+    gamma_{n+1} (I + |m| |z|) of R for a conventional O(n^3) matrix product
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5;
+    Rump, Acta Numerica 19, 2010), so rho adds that term.  The minimum entry
+    and tol times the largest magnitude then move by at most (1 + tol) delta
+    from z to m^-1, and the verdict is kept only when its margin
+    value + tol max|z| is larger.  It is also kept only when
+    SINGULARITY_RTOL max|m| (max|z| + delta) < 1, so no matrix that
+    :func:`linalg.inverse` could refuse gets a certified verdict.
+
+    Every norm, sum and product below is taken in floats and then grown by
+    the factor 1 + 4 (n + 2) u, with u the unit roundoff, which bounds its
+    rounding (a row sum of n
+    terms is within gamma_{n-1} of the exact sum) and the underflow of the
+    residual product, since rho >= gamma_{n+1}.  Where delta or the margin
+    falls below the normal range, a few units of the smallest subnormal
+    bound what their rounding loses.  A non-finite ``z`` or residual fails
+    ``rho < 1``, without a warning.
+    """
+    n = m.shape[0]
+    grow = 1.0 + 4.0 * (n + 2) * _UNIT_ROUNDOFF
+    # At least gamma_{n+1} = (n + 1) u / (1 - (n + 1) u) for n below 10^13.
+    gamma = 1.01 * (n + 1) * _UNIT_ROUNDOFF
+    with np.errstate(all="ignore"):
+        residual = m @ z
+        residual.flat[:: n + 1] -= 1.0
+        abs_m, abs_z = np.abs(m), np.abs(z)
+        r_norm = float(np.abs(residual, out=residual).sum(axis=1).max())
+        m_norm = float(abs_m.sum(axis=1).max())
+        z_norm = float(abs_z.sum(axis=1).max())
+    rho = grow * (r_norm + gamma * (1.0 + m_norm * z_norm))
+    if not rho < 1.0:
+        return None
+    delta = grow * z_norm * rho / (1.0 - rho)
+    z_max = float(abs_z.max())
+    check = _monotone_check(z, tol)
+    slack = tol * z_max
+    margin = abs(check.value + slack)
+    bound = grow * ((1.0 + tol) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
+    regular = grow * SINGULARITY_RTOL * float(abs_m.max()) * (z_max + delta) < 1.0
+    return check if margin > bound and regular else None
 
 
 def _bisect_from(
-    m: np.ndarray, pert: np.ndarray, z: np.ndarray, seed: float, abs_tol: float, tol: float
+    m: np.ndarray,
+    pert: np.ndarray,
+    z: np.ndarray,
+    seed: float,
+    abs_tol: float,
+    tol: float,
+    rank_one: _RankOneTerms | None = None,
 ) -> float:
     """The search of :func:`bisection_vstar` on a pair that already passed
     :func:`_validated_pair`, with ``z`` the inverse of A and the bracket
-    grown around ``seed``.
+    grown around ``seed``.  ``rank_one`` holds the :func:`_rank_one_terms`
+    of the pair; without it every probe inverts.
 
     A finite positive ``seed`` (the iteration's v*) is probed, then stepped
     from by ``abs_tol``, doubling the step until the predicate changes:
@@ -266,12 +382,12 @@ def _bisect_from(
         return math.inf
     cap = _cap(m, pert, z)
     # lo is always the last monotone probe (or 0, before one is made) and hi
-    # the last failing one, so these are the inverses at the bracket ends,
-    # or None at a singular hi.
+    # the last failing one, so these are the matrices tested at the bracket
+    # ends, or None at a singular hi.
     last = {True: z, False: None}
 
     def monotone_at(v: float) -> bool:
-        verdict, inv = _checked_inverse(m, pert, v, tol)
+        verdict, inv = _checked_inverse(m, pert, v, tol, z, rank_one)
         last[bool(verdict)] = inv
         return bool(verdict)
 

@@ -30,7 +30,13 @@ from .bounds import (
     inverse_stats,
     tridiagonal_bound,
 )
-from .buffoni import BISECT_ABS_TOL, _bisect_from, _buffoni_from, _validated_pair
+from .buffoni import (
+    BISECT_ABS_TOL,
+    _bisect_from,
+    _buffoni_from,
+    _rank_one_terms,
+    _validated_pair,
+)
 from .classify import (
     DEFAULT_MONOTONE_TOL,
     ClassificationReport,
@@ -140,12 +146,14 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_vstar(args) -> dict:
-    # One validation, and its inverse of A, serve every method.
+    # One validation, its inverse of A and the rank-one terms serve every
+    # method.
     pair = _validated_pair(read_matrix(args.matrix), read_matrix(args.perturbation), args.tol)
+    rank_one = _rank_one_terms(pair[1], pair[2])
     section: dict = {"method": args.method}
     seed = 0.0
     if args.method in ("buffoni", "both"):
-        trace = _buffoni_from(*pair)
+        trace = _buffoni_from(*pair, rank_one)
         section["buffoni"] = {
             "value": _num(trace.vstar),
             "status": trace.status,
@@ -156,7 +164,7 @@ def _cmd_vstar(args) -> dict:
         if trace.status == "converged":
             seed = trace.vstar
     if args.method in ("bisect", "both"):
-        bisect_value = _bisect_from(*pair, seed, BISECT_ABS_TOL, args.tol)
+        bisect_value = _bisect_from(*pair, seed, BISECT_ABS_TOL, args.tol, rank_one)
         section["bisection"] = {
             "value": _num(bisect_value),
             "status": "infinite" if math.isinf(bisect_value) else "finite",

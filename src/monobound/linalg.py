@@ -1,7 +1,9 @@
 """Dense linear algebra: input validation and the inverse.
 
 :func:`inverse` is one LAPACK call (``numpy.linalg.inv``: gesv against I),
-so every monotonicity verdict in the package comes from one engine.  Its
+so every monotonicity verdict in the package comes from one engine, except
+the threshold search's rank-one probes that a residual certificate decides
+(:func:`buffoni._certified_check`).  Its
 singularity test is the package's one rule for a singular matrix: the
 inverse is refused unless ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.
 The determinant-based bounds (:func:`bounds.sigma_via_determinant`,

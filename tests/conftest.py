@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# `--hypothesis-profile ci` keeps no example database, so a run under a fixed
+# `--hypothesis-seed` draws the same examples wherever it runs.
+settings.register_profile("ci", database=None)
 
 # Worked example used throughout the suite: a strictly diagonally dominant,
 # irreducible, quasi-doubly-stochastic M-matrix with determinant 3.32 and a

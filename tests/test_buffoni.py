@@ -83,8 +83,8 @@ def probes(monkeypatch):
     seen = []
     checked_inverse = buffoni._checked_inverse
 
-    def counted(m, pert, v, tol):
-        verdict, inv = checked_inverse(m, pert, v, tol)
+    def counted(m, pert, v, *args):
+        verdict, inv = checked_inverse(m, pert, v, *args)
         seen.append((v, verdict))
         if len(seen) > 500:
             pytest.fail("the search made more than 500 probes")

@@ -11,6 +11,7 @@ import pytest
 from conftest import INFINITE_THRESHOLD_PAIRS, random_nonneg_perturbation, random_sdd_m_matrix
 
 from monobound import bisection_vstar, buffoni, classify, cli, format_dense, graphdist, linalg
+from monobound.buffoni import BISECT_ABS_TOL
 from monobound.cli import main
 
 DENSE_SAMPLE = """\
@@ -201,18 +202,62 @@ def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_fi
     assert len(factorizations) == report["vstar"]["buffoni"]["iterations"]
 
 
-def test_vstar_both_factors_once_per_iterate_and_probe(capsys, monkeypatch, sample_file, tmp_path):
-    # Buffoni iterates and bisection probes each invert once; E = J is rank
-    # one, so Buffoni takes one closed-form step from the inverse that
-    # validates A, and the bisection is seeded at its value.
+def test_vstar_both_inverts_once_for_a_rank_one_pair(capsys, monkeypatch, sample_file, tmp_path):
+    # E = J is rank one: Buffoni takes one closed-form step from the inverse
+    # that validates A, the bisection is seeded at its value, and both probes
+    # are decided by the Sherman-Morrison candidate's certificate, so the
+    # inverse of A is the only one.
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
     factorizations = _count_calls(monkeypatch, linalg, "inverse")
     probes = _count_calls(monkeypatch, buffoni, "_checked_inverse")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
     iterations = report["vstar"]["buffoni"]["iterations"]
-    assert (iterations, len(probes)) == (1, 2)
-    assert len(factorizations) == iterations + len(probes)
+    assert (iterations, len(probes), len(factorizations)) == (1, 2, 1)
+
+
+def test_vstar_probes_invert_when_the_certificate_declines(
+    capsys, monkeypatch, sample_file, tmp_path
+):
+    # With every certificate declined each probe falls back to its own
+    # inverse.  The seeded search of `--method both` keeps every byte; the
+    # unseeded one interpolates between other matrices, so its value may
+    # move inside the abs_tol bracket.
+    rng = np.random.default_rng(79)
+    a_path, e_path = tmp_path / "rank-one-a.txt", tmp_path / "rank-one-e.txt"
+    a_path.write_text(format_dense(random_sdd_m_matrix(rng, 7)))
+    e_path.write_text(format_dense(np.outer(rng.uniform(0, 1, 7), rng.uniform(0, 1, 7))))
+    ones = tmp_path / "ones.txt"
+    ones.write_text(format_dense(np.ones((3, 3))))
+    cases = [(sample_file, ones, "both"), (a_path, e_path, "both"), (a_path, e_path, "bisect")]
+    for a_file, e_file, method in cases:
+        argv = ["vstar", str(a_file), str(e_file), "--method", method]
+        certified = run(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(buffoni, "_certified_check", lambda *args: None)
+            factorizations = _count_calls(patch, linalg, "inverse")
+            probes = _count_calls(patch, buffoni, "_checked_inverse")
+            inverted = run(capsys, argv)
+        assert len(probes) >= 2
+        assert len(factorizations) == 1 + len(probes)
+        if method == "both":
+            assert inverted == certified
+        else:
+            first, second = (json.loads(out)["vstar"]["bisection"]["value"]
+                             for _, out, _ in (certified, inverted))
+            assert abs(first - second) <= BISECT_ABS_TOL
+
+
+def test_vstar_both_finds_the_rank_one_terms_once(capsys, monkeypatch, sample_file, tmp_path):
+    pert = tmp_path / "ones.txt"
+    pert.write_text(format_dense(np.ones((3, 3))))
+    factors = _count_calls(monkeypatch, buffoni, "_rank_one_factors")
+    terms = _count_calls(monkeypatch, buffoni, "_rank_one_terms")
+    for method in ("buffoni", "bisect", "both"):
+        factors.clear()
+        terms.clear()
+        run_json(capsys, ["vstar", sample_file, str(pert), "--method", method])
+        assert (len(factors), len(terms)) == (1, 1)
 
 
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):

@@ -2,14 +2,20 @@
 LAPACK inverse and the reference elimination of ``test_linalg.py``, checks
 the monotonicity verdict and the inverse statistics on small
 ill-conditioned inputs whose exact inverse has one entry at +-1e-8 of its
-largest."""
+largest, and every verdict that the threshold search's residual certificate
+decides without an inverse."""
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
+import pytest
+from conftest import INFINITE_THRESHOLD_PAIRS, random_sdd_m_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from monobound import inverse_stats, is_monotone
+from monobound import bisection_vstar, buffoni, buffoni_vstar, inverse_stats, is_monotone
 from monobound.classify import DEFAULT_MONOTONE_TOL
 
 EPS = np.finfo(float).eps
@@ -68,3 +74,88 @@ def test_verdict_and_statistics_match_a_50_digit_inverse(a):
     rc = np.outer(r, c)
     moved = delta / rc + np.abs(z / rc) * n * delta * (1.0 / r[:, None] + 1.0 / c[None, :])
     assert abs(stats.buffoni_number - buffoni_number) <= 2.0 * float(moved.max())
+
+
+def _mp_monotone(m, tol):
+    """The monotonicity predicate on the 50-digit inverse of ``m``."""
+    with mp.workdps(50):
+        exact = _mp_inverse(m)
+        entries = [exact[i, j] for i in range(exact.rows) for j in range(exact.cols)]
+        return min(entries) >= -tol * max(abs(x) for x in entries)
+
+
+@contextmanager
+def _certified_verdicts():
+    """Collect (matrix, tol, verdict) for every verdict that
+    buffoni._certified_check decides."""
+    decided = []
+    certify = buffoni._certified_check
+
+    def recorded(m, z, tol):
+        verdict = certify(m, z, tol)
+        if verdict is not None:
+            decided.append((m, tol, verdict))
+        return verdict
+
+    with mock.patch.object(buffoni, "_certified_check", recorded):
+        yield decided
+
+
+@st.composite
+def rank_one_pairs(draw):
+    """(A, E = u w^T): A a strictly dominant M-matrix with n = 3..12, half of
+    them with about half their off-diagonal entries zero (so often with
+    exact zeros in the inverse); u and w nonnegative, each dense or sparse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 12))
+    a = random_sdd_m_matrix(rng, n)
+    if draw(st.booleans()):
+        a[(rng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)] = 0.0
+
+    def factor():
+        f = rng.uniform(0.1, 2.0, n)
+        if rng.random() < 0.5:
+            f *= rng.random(n) < 0.3
+            f[rng.integers(n)] = rng.uniform(0.5, 2.0)
+        return f
+
+    return a, np.outer(factor(), factor())
+
+
+#: Probes at v* times these, on both sides of the tolerant boundary.
+NEAR_THRESHOLD = (1.0, 1 - 1e-13, 1 + 1e-13, 1 - 1e-10, 1 + 1e-10, 1 - 1e-6, 1 + 1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rank_one_pairs())
+def test_certified_verdicts_match_a_50_digit_inverse(pair):
+    # A certified probe near v* takes no inverse; its verdict must be the one
+    # the exact inverse of the probed matrix gives.
+    tol = DEFAULT_MONOTONE_TOL
+    m, pert, z = buffoni._validated_pair(*pair, tol)
+    rank_one = buffoni._rank_one_terms(pert, z)
+    vstar = buffoni._rank_one_vstar(*rank_one, z, buffoni._cap(m, pert, z)).vstar
+    assume(np.isfinite(vstar))
+    with _certified_verdicts() as decided:
+        for k in NEAR_THRESHOLD:
+            buffoni._checked_inverse(m, pert, vstar * k, tol, z, rank_one)
+    assert decided
+    for probe, tol, verdict in decided:
+        assert bool(verdict) == _mp_monotone(probe, tol)
+
+
+RANK_ONE_INFINITE = [
+    name for name, (_, e) in INFINITE_THRESHOLD_PAIRS.items() if np.linalg.matrix_rank(e) == 1
+]
+
+
+@pytest.mark.parametrize("name", RANK_ONE_INFINITE)
+def test_certified_search_keeps_infinite_rank_one_thresholds(name):
+    # Near the cap, where the singularity rule could refuse A + v E, no
+    # certified verdict may differ from the exact one.
+    a, e = INFINITE_THRESHOLD_PAIRS[name]
+    assert buffoni_vstar(a, e).vstar == np.inf
+    with _certified_verdicts() as decided:
+        assert bisection_vstar(a, e) == np.inf
+    for probe, tol, verdict in decided:
+        assert bool(verdict) == _mp_monotone(probe, tol)
