@@ -162,7 +162,10 @@ def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if top <= 0.0:
         return None
     u, w = pert[:, j], pert[i, :] / top
-    if float(np.abs(pert - np.outer(u, w)).max()) > RANK_ONE_RTOL * top:
+    # |E - u w^T| is formed in the one array that holds u w^T.
+    gap = np.outer(u, w)
+    np.subtract(pert, gap, out=gap)
+    if float(np.abs(gap, out=gap).max()) > RANK_ONE_RTOL * top:
         return None
     return u, w
 
@@ -212,9 +215,12 @@ def _rank_one_vstar(
     Sherman-Morrison gives (A + v E)^-1 = Z - v p q^T / (1 + v s), whose
     (i, j) entry stays nonnegative exactly while v (p_i q_j - s z_ij) <= z_ij.
     W = Z E Z is p q^T, masked and checked as in the iteration."""
-    pq = np.outer(p, q)
-    den = pq - s * z
-    vstar, pick = _min_ratio(z, den, _usable_denominators(pq, 0.0) & (den > 0.0))
+    den = np.outer(p, q)
+    usable = _usable_denominators(den, 0.0)
+    # W turns into the denominators p q^T - s Z in place.
+    den -= s * z
+    usable &= den > 0.0
+    vstar, pick = _min_ratio(z, den, usable)
     if math.isinf(vstar):
         return BuffoniTrace((), "diverged_infinite", math.inf)
     steps = (IterationStep(v=0.0, increment=vstar, argmin=pick),)
@@ -243,7 +249,7 @@ def _ratio_iteration(m: np.ndarray, pert: np.ndarray, z: np.ndarray, cap: float)
         if len(steps) == MAX_ITER:
             return BuffoniTrace(tuple(steps), "max_iterations", v)
         try:
-            z = inverse(m + v * pert)
+            z = inverse(_perturbed(m, pert, v))
         except SingularMatrix as exc:
             raise SingularIterate(f"iterate at v={v!r} is singular: {exc}") from None
 
@@ -291,17 +297,27 @@ def _checked_inverse(
     the tested matrix is the Sherman-Morrison candidate
     Z - v p q^T / (1 + v s) when :func:`_certified_check` proves its verdict;
     otherwise, and for a general E, it is the inverse of A + v E."""
-    probe = m + v * pert
+    probe = _perturbed(m, pert, v)
     if rank_one is not None:
         p, q, s = rank_one
         # A zero or overflowing 1 + v s gives a non-finite candidate, which
         # the certificate declines.
         with np.errstate(all="ignore"):
-            candidate = z - np.outer(p * v / (1.0 + v * s), q)
+            candidate = np.outer(p * v / (1.0 + v * s), q)
+            np.subtract(z, candidate, out=candidate)
         verdict = _certified_check(probe, candidate, tol)
         if verdict is not None:
             return verdict, candidate
+        # Freed before the inverse takes its own arrays.
+        del candidate
     return _monotone_inverse(probe, tol)
+
+
+def _perturbed(m: np.ndarray, pert: np.ndarray, v: float) -> np.ndarray:
+    """A + v E in one new array: v E is formed in it and A added in place."""
+    out = np.multiply(pert, v)
+    out += m
+    return out
 
 
 def _certified_check(m: np.ndarray, z: np.ndarray, tol: float) -> MonotoneCheck | None:
@@ -334,22 +350,24 @@ def _certified_check(m: np.ndarray, z: np.ndarray, tol: float) -> MonotoneCheck 
     # At least gamma_{n+1} = (n + 1) u / (1 - (n + 1) u) for n below 10^13.
     gamma = 1.01 * (n + 1) * _UNIT_ROUNDOFF
     with np.errstate(all="ignore"):
-        residual = m @ z
-        residual.flat[:: n + 1] -= 1.0
-        abs_m, abs_z = np.abs(m), np.abs(z)
-        r_norm = float(np.abs(residual, out=residual).sum(axis=1).max())
-        m_norm = float(abs_m.sum(axis=1).max())
-        z_norm = float(abs_z.sum(axis=1).max())
+        # One work array holds the residual, then |m|, then |z|; each is
+        # reduced before the next overwrites it.
+        work = m @ z
+        work.flat[:: n + 1] -= 1.0
+        r_norm = float(np.abs(work, out=work).sum(axis=1).max())
+        np.abs(m, out=work)
+        m_norm, m_max = float(work.sum(axis=1).max()), float(work.max())
+        np.abs(z, out=work)
+        z_norm, z_max = float(work.sum(axis=1).max()), float(work.max())
     rho = grow * (r_norm + gamma * (1.0 + m_norm * z_norm))
     if not rho < 1.0:
         return None
     delta = grow * z_norm * rho / (1.0 - rho)
-    z_max = float(abs_z.max())
     check = _monotone_check(z, tol)
     slack = tol * z_max
     margin = abs(check.value + slack)
     bound = grow * ((1.0 + tol) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
-    regular = grow * SINGULARITY_RTOL * float(abs_m.max()) * (z_max + delta) < 1.0
+    regular = grow * SINGULARITY_RTOL * m_max * (z_max + delta) < 1.0
     return check if margin > bound and regular else None
 
 
@@ -451,14 +469,21 @@ def _itp_point(
     mid = 0.5 * (lo + hi)
     if z_hi is None:
         return mid
-    above = z_lo + tol * float(max(z_lo.max(), -z_lo.min()))
-    below = z_hi + tol * float(max(z_hi.max(), -z_hi.min()))
-    # A monotone lo keeps every entry of `above` >= 0 and a failing hi puts
-    # some entry of `below` < 0, so each crossing lies in [lo, hi).
-    crossing = below < 0.0
-    t = float(np.min(above[crossing] / (above[crossing] - below[crossing])))
+    floor_lo = tol * float(max(z_lo.max(), -z_lo.min()))
+    floor_hi = tol * float(max(z_hi.max(), -z_hi.min()))
+    # z_hi + floor_hi rounds below 0 exactly when z_hi < -floor_hi, so only
+    # the crossing entries are shifted.  A monotone lo keeps every shifted
+    # entry at lo >= 0 and a failing hi puts some shifted entry at hi < 0,
+    # so each crossing lies in [lo, hi).
+    crossing = z_hi < -floor_hi
+    above = z_lo[crossing] + floor_lo
+    t = float(np.min(above / (above - (z_hi[crossing] + floor_hi))))
     v = lo + t * (hi - lo)
-    shift = 0.2 * (hi - lo) ** 2 / width
+    try:
+        shift = 0.2 * (hi - lo) ** 2 / width
+    except OverflowError:
+        # A square past the largest float moves v all the way to mid.
+        shift = math.inf
     v = v + math.copysign(shift, mid - v) if shift <= abs(mid - v) else mid
     radius = max(reach - 0.5 * (hi - lo), 0.0)
     return min(max(v, mid - radius), mid + radius)

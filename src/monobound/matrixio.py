@@ -72,6 +72,11 @@ from .errors import MatrixParseError
 #: block raises glibc's mmap and trim thresholds, so a long-running process
 #: stops returning and re-faulting the heap that its n-by-n arrays reuse: on
 #: vstar_grid ops that took 1,091 minor faults per op to 0 (still 0 on bytes).
+#: That holds only while an op's n-by-n temporaries stay few: when each
+#: threshold-search probe held five at once (the residual, |A + vE| and |Z|
+#: in fresh arrays), vstar_grid ops took about 530 faults again (median over
+#: 150 ops of seed 7 in a benchmark-shaped loop on a 2-vCPU x86-64 VM); with
+#: three they take 0.
 _PLAIN_COORD = re.compile(
     rb"([0-9]{1,15})[ \t]+([0-9]{1,15})\n"
     rb"((?:[0-9]{1,15}[ \t]+[0-9]{1,15}[ \t]+"

@@ -1,5 +1,8 @@
 """Ratio iteration for the exact monotonicity-breaking threshold."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -25,7 +28,8 @@ from monobound import (
     main_bound,
     tridiagonal_bound,
 )
-from monobound.classify import DEFAULT_MONOTONE_TOL
+from monobound.classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_check
+from monobound.linalg import SINGULARITY_RTOL
 
 
 def _unit(n, i, j):
@@ -559,3 +563,131 @@ def test_threshold_grid_random():
         for frac in (0.25, 0.5, 0.9):
             updated = inverse(a + frac * v * ones)
             assert updated.min() >= -1e-10
+
+
+def test_narrowing_survives_a_bracket_whose_square_overflows(sample_a):
+    # The ITP shift squares the bracket width; past about 1.3e154 that square
+    # overflows, and the step falls back to the midpoint.
+    scale = 2.0**600
+    ones = np.ones((3, 3))
+    scaled = bisection_vstar(scale * sample_a, ones, abs_tol=scale * buffoni.BISECT_ABS_TOL)
+    assert math.isfinite(scaled)
+    assert abs(scaled - scale * bisection_vstar(sample_a, ones)) <= scale * buffoni.BISECT_ABS_TOL
+
+
+def _rank_one_sample(n, seed):
+    """A validated rank-one pair with a finite threshold:
+    (A, E, A^-1, rank-one terms, v*)."""
+    rng = np.random.default_rng(seed)
+    a = random_sdd_m_matrix(rng, n)
+    e = np.outer(rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n))
+    m, pert, z = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
+    terms = buffoni._rank_one_terms(pert, z)
+    vstar = buffoni._buffoni_from(m, pert, z, terms).vstar
+    assert math.isfinite(vstar)
+    return m, pert, z, terms, vstar
+
+
+def _peak_arrays(fn, n):
+    """Most memory that ``fn()`` held at once, its result included, in units
+    of one n x n float array (tracemalloc sees numpy's data buffers)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - before) / (n * n * 8)
+
+
+#: numpy's ufuncs take up to 128 KiB of broadcast buffers for an outer
+#: product: under 0.3 of an n x n array at this size, but as much as two at
+#: n = 60, where they would hide the arrays counted here.
+WORKING_SET_N = 240
+
+
+@pytest.mark.parametrize(
+    "stage, budget",
+    [("certified probe", 3.0), ("rank-one terms", 1.3), ("closed form", 2.1)],
+)
+def test_threshold_search_working_set(stage, budget, monkeypatch):
+    # Each stage holds a fixed number of n x n arrays beyond its inputs, so
+    # a long-running process reuses the same heap from op to op.  The probe
+    # at v* is the certified one: it takes no inverse.
+    n = WORKING_SET_N
+    m, pert, z, terms, vstar = _rank_one_sample(n, 101)
+    monkeypatch.setattr(buffoni, "_monotone_inverse", lambda *args: pytest.fail("inverted"))
+    run = {
+        "certified probe": lambda: buffoni._checked_inverse(
+            m, pert, vstar, DEFAULT_MONOTONE_TOL, z, terms
+        ),
+        "rank-one terms": lambda: buffoni._rank_one_terms(pert, z),
+        "closed form": lambda: buffoni._buffoni_from(m, pert, z, terms),
+    }[stage]
+    assert _peak_arrays(run, n) <= budget + 0.1
+
+
+def _reference_certified_check(m, z, tol):
+    """Reference for buffoni._certified_check: the same certificate with a
+    fresh array for each of the residual, |m| and |z|."""
+    n = m.shape[0]
+    grow = 1.0 + 4.0 * (n + 2) * buffoni._UNIT_ROUNDOFF
+    gamma = 1.01 * (n + 1) * buffoni._UNIT_ROUNDOFF
+    with np.errstate(all="ignore"):
+        residual = m @ z
+        residual.flat[:: n + 1] -= 1.0
+        abs_m, abs_z = np.abs(m), np.abs(z)
+        r_norm = float(np.abs(residual, out=residual).sum(axis=1).max())
+        m_norm = float(abs_m.sum(axis=1).max())
+        z_norm = float(abs_z.sum(axis=1).max())
+    rho = grow * (r_norm + gamma * (1.0 + m_norm * z_norm))
+    if not rho < 1.0:
+        return None
+    delta = grow * z_norm * rho / (1.0 - rho)
+    z_max = float(abs_z.max())
+    check = _monotone_check(z, tol)
+    slack = tol * z_max
+    margin = abs(check.value + slack)
+    bound = grow * ((1.0 + tol) * delta + buffoni._UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
+    regular = grow * SINGULARITY_RTOL * float(abs_m.max()) * (z_max + delta) < 1.0
+    return check if margin > bound and regular else None
+
+
+def _candidate_probes():
+    """(m, z) pairs for the certificate: Sherman-Morrison candidates of
+    seeded rank-one pairs near v*, ones it declines (residual, margin and
+    singularity rule), and a non-finite candidate where 1 + v s = 0."""
+    cases = []
+    for n, seed in ((3, 1), (8, 2), (30, 3), (60, 4)):
+        m, pert, z, (p, q, s), vstar = _rank_one_sample(n, seed)
+        for k in (1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-6, 1 - 1e-6):
+            v = vstar * k
+            cases.append((m + v * pert, z - np.outer(p * v / (1.0 + v * s), q)))
+        cases.append((m, 2.0 * z))
+        v = -1.0 / s
+        if 1.0 + v * s == 0.0:
+            with np.errstate(all="ignore"):
+                cases.append((m + v * pert, z - np.outer(p * v / (1.0 + v * s), q)))
+    assert any(not np.isfinite(z).all() for _, z in cases)
+    cases.append((np.eye(2), np.array([[1.0, -DEFAULT_MONOTONE_TOL], [0.0, 1.0]])))
+    cases.append((np.diag([1.0, 1e-14]), np.diag([1.0, 1e14])))
+    # max|m| and max|z| far apart: the singularity rule must read max|m|.
+    cases.append((1e-7 * np.eye(3), 1e7 * np.eye(3)))
+    return cases
+
+
+def test_certificate_matches_its_reference():
+    tol = DEFAULT_MONOTONE_TOL
+    decided = declined = 0
+    for m, z in _candidate_probes():
+        got = buffoni._certified_check(m, z, tol)
+        assert got == _reference_certified_check(m, z, tol)
+        assert got is None or isinstance(got, MonotoneCheck)
+        decided += got is not None
+        declined += got is None
+    assert decided >= 16 and declined >= 10

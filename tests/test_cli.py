@@ -8,7 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import INFINITE_THRESHOLD_PAIRS, random_nonneg_perturbation, random_sdd_m_matrix
+from conftest import (
+    INFINITE_THRESHOLD_PAIRS,
+    SAMPLE_A,
+    SAMPLE_A_VSTAR_UNIFORM,
+    random_nonneg_perturbation,
+    random_sdd_m_matrix,
+)
 
 from monobound import bisection_vstar, buffoni, classify, cli, format_dense, graphdist, linalg
 from monobound.buffoni import BISECT_ABS_TOL
@@ -258,6 +264,20 @@ def test_vstar_both_finds_the_rank_one_terms_once(capsys, monkeypatch, sample_fi
         terms.clear()
         run_json(capsys, ["vstar", sample_file, str(pert), "--method", method])
         assert (len(factors), len(terms)) == (1, 1)
+
+
+def test_vstar_bisect_on_a_huge_scale(capsys, tmp_path):
+    # The first brackets are about 1e180 wide, so the ITP shift's square
+    # overflows; the narrowing takes the midpoint instead of crashing.
+    big, ones = tmp_path / "big.txt", tmp_path / "ones.txt"
+    big.write_text(format_dense(1e181 * SAMPLE_A))
+    ones.write_text(format_dense(np.ones((3, 3))))
+    rc, out, err = run(capsys, ["vstar", str(big), str(ones), "--method", "bisect"])
+    assert (rc, err) == (0, "")
+    report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+    bisection = report["vstar"]["bisection"]
+    assert bisection["status"] == "finite"
+    assert bisection["value"] == pytest.approx(1e181 * SAMPLE_A_VSTAR_UNIFORM, rel=1e-8)
 
 
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):
