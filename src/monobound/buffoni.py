@@ -12,8 +12,11 @@ probe inverts by LAPACK as for a general E.  The proof holds for the matrix
 whatever the candidate, so the oracle stays independent of the closed form.
 
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
-monotone A and an entrywise-nonnegative E.  The iteration and search settings
-are the fixed module constants below.
+monotone A and an entrywise-nonnegative E.  Both searches run on the pair
+scaled once by powers of two (:func:`_validated_pair`), so the threshold of
+(c A, E) is exactly c times that of (A, E), and that of (A, c E) 1/c times,
+across the float range unless a value is subnormal.  The iteration and
+search settings are the fixed module constants below.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     SingularIterate,
     SingularMatrix,
 )
-from .linalg import SINGULARITY_RTOL, as_square_matrix, inverse
+from .linalg import SINGULARITY_RTOL, _unit_scale, as_square_matrix, inverse
 
 CONVERGENCE_RTOL = 1e-12
 MAX_ITER = 100
@@ -77,40 +80,62 @@ class BuffoniTrace:
         return len(self.iterates)
 
 
-def _validated_pair(a, e, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check the pair and return (A, E, inverse of A); A must be monotone."""
-    m = as_square_matrix(a)
-    pert = as_square_matrix(e)
-    if pert.shape != m.shape:
+#: (p, q, s) = (Z u, w^T Z, w^T Z u) for a rank-one E = u w^T and Z = A^-1.
+_RankOneTerms = tuple[np.ndarray, np.ndarray, float]
+
+
+class _Pair(NamedTuple):
+    """A validated pair (A, E) in unit scale and what both threshold searches
+    read from it, each found once: ``m`` = s A and ``pert`` = t E, with s and
+    t the powers of two that bring max|A| and max E into [0.5, 1)
+    (:func:`linalg._unit_scale`); ``z`` = m^-1; ``unit`` = t / s, so A + v E
+    is monotone exactly when m + (v / unit) pert is; ``h`` = max|m| / max pert
+    (math.inf for a zero E); the ``cap`` past which both searches report
+    math.inf; and the :func:`_rank_one_terms` of (pert, z)."""
+
+    m: np.ndarray
+    pert: np.ndarray
+    z: np.ndarray
+    tol: float
+    unit: float
+    h: float
+    cap: float
+    rank_one: _RankOneTerms | None
+
+
+def _validated_pair(a, e, tol: float) -> _Pair:
+    """Check the pair and return it in unit scale; A must be monotone.
+
+    The cap is h * min(V_CAP, 0.5 / (SINGULARITY_RTOL * max|m| * max|z|) - 1):
+    while m + v pert is monotone its inverse stays <= z entrywise
+    (dZ/dv = -Z E Z), so :func:`inverse` refuses no probe or iterate below
+    the second term, which keeps half of the rule's budget for roundoff;
+    where m alone uses more, it is V_CAP * h.  Where max|A| / max E lies
+    beyond about 2^+-1022, t moves towards s until t / s is a normal float
+    and the cap falls to where cap * unit is finite: such a threshold reads
+    0 or math.inf, never NaN."""
+    a = as_square_matrix(a)
+    e = as_square_matrix(e)
+    if e.shape != a.shape:
         raise DimensionMismatch(
-            f"perturbation shape {pert.shape} does not match matrix shape {m.shape}"
+            f"perturbation shape {e.shape} does not match matrix shape {a.shape}"
         )
-    if np.any(pert < 0.0):
+    if np.any(e < 0.0):
         raise NegativePerturbation("perturbation must be entrywise nonnegative")
-    verdict, inv = _monotone_inverse(m, tol)
+    s = _unit_scale(float(max(a.max(), -a.min())))
+    t = min(max(_unit_scale(float(e.max())), s * 2.0**-1022), s * 2.0**1023)
+    unit = t / s
+    m = a * s
+    verdict, z = _monotone_inverse(m, tol)
     if not verdict:
         raise NotMonotone("base matrix is not monotone")
-    return m, pert, inv
-
-
-def _pair_scale(m: np.ndarray, pert: np.ndarray) -> float:
-    """max|A| / max E, the scale of the pair's threshold; math.inf for a
-    zero E."""
-    e_max = float(pert.max())
-    return float(max(m.max(), -m.min())) / e_max if e_max > 0.0 else math.inf
-
-
-def _cap(m: np.ndarray, pert: np.ndarray, z: np.ndarray) -> float:
-    """The v past which both searches report math.inf (math.inf for a zero
-    E): h * min(V_CAP, 0.5 / (SINGULARITY_RTOL * max|A| * max|Z|) - 1), with
-    Z = A^-1 and h = max|A| / max E.  While A + v E is monotone its inverse
-    stays <= Z entrywise (dZ/dv = -Z E Z), so :func:`inverse` refuses no
-    probe or iterate below the second term, which keeps half of the rule's
-    budget for roundoff.  Where A alone uses more than that half the term is
-    not positive, and the cap is V_CAP * h."""
-    a_max = float(max(m.max(), -m.min()))
-    headroom = 0.5 / (SINGULARITY_RTOL * a_max * float(max(z.max(), -z.min()))) - 1.0
-    return _pair_scale(m, pert) * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
+    pert = e * t
+    m_max, e_max = float(max(m.max(), -m.min())), float(pert.max())
+    h = m_max / e_max if e_max > 0.0 else math.inf
+    headroom = 0.5 / (SINGULARITY_RTOL * m_max * float(max(z.max(), -z.min()))) - 1.0
+    cap = h * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
+    cap = min(cap, float(np.finfo(float).max) / unit)
+    return _Pair(m, pert, z, tol, unit, h, cap, _rank_one_terms(pert, z))
 
 
 def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
@@ -118,10 +143,11 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     v <- v + min { z_ij / w_ij : w_ij > 0 }, with Z = (A + v E)^-1 and
     W = Z E Z (minus the derivative of Z in v).
 
-    Converges quadratically to a finite v* and diverges past the cap of
-    :func:`_cap` (``V_CAP * max|A| / max|E|``, lowered to where the
-    singularity rule could refuse an iterate) when A + v E is monotone for
-    every v.
+    It runs on the unit-scaled pair, so W neither overflows nor underflows
+    and the trace scales exactly with A and E (see the module docstring).
+    Converges quadratically to a finite v* and diverges past the pair's cap
+    (``V_CAP * max|A| / max|E|``, lowered to where the singularity rule
+    could refuse an iterate) when A + v E is monotone for every v.
     :data:`W_FLOOR` (relative to the largest W entry) keeps roundoff-level
     denominators out of the minimum; convergence is declared when an
     increment is at most ``CONVERGENCE_RTOL * v`` (relative, so the search
@@ -136,22 +162,17 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     M-matrix, A + v E stays one for every v >= 0, and v* = math.inf is
     reported after no step.
     """
-    m, pert, z = _validated_pair(a, e, tol)
-    return _buffoni_from(m, pert, z, _rank_one_terms(pert, z))
+    return _buffoni_from(_validated_pair(a, e, tol))
 
 
-def _buffoni_from(
-    m: np.ndarray, pert: np.ndarray, z: np.ndarray, rank_one: _RankOneTerms | None
-) -> BuffoniTrace:
-    """:func:`buffoni_vstar` on a pair that already passed
-    :func:`_validated_pair`, with ``z`` the inverse of A and ``rank_one``
-    the :func:`_rank_one_terms` of the pair."""
-    cap = _cap(m, pert, z)
-    if rank_one is not None:
-        return _rank_one_vstar(*rank_one, z, cap)
-    if np.count_nonzero(pert) == np.count_nonzero(np.diagonal(pert)) and is_z_matrix(m):
+def _buffoni_from(pair: _Pair) -> BuffoniTrace:
+    """:func:`buffoni_vstar` on a pair from :func:`_validated_pair`."""
+    if pair.rank_one is not None:
+        return _rank_one_vstar(pair)
+    pert = pair.pert
+    if np.count_nonzero(pert) == np.count_nonzero(np.diagonal(pert)) and is_z_matrix(pair.m):
         return BuffoniTrace((), "diverged_infinite", math.inf)
-    return _ratio_iteration(m, pert, z, cap)
+    return _ratio_iteration(pair)
 
 
 def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -168,10 +189,6 @@ def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if float(np.abs(gap, out=gap).max()) > RANK_ONE_RTOL * top:
         return None
     return u, w
-
-
-#: (p, q, s) = (Z u, w^T Z, w^T Z u) for a rank-one E = u w^T and Z = A^-1.
-_RankOneTerms = tuple[np.ndarray, np.ndarray, float]
 
 
 def _rank_one_terms(pert: np.ndarray, z: np.ndarray) -> _RankOneTerms | None:
@@ -206,52 +223,52 @@ def _min_ratio(
     return max(float(ratios[pick]), 0.0), pick
 
 
-def _rank_one_vstar(
-    p: np.ndarray, q: np.ndarray, s: float, z: np.ndarray, cap: float
-) -> BuffoniTrace:
+def _rank_one_vstar(pair: _Pair) -> BuffoniTrace:
     """Exact v* for E = u w^T from Z = A^-1 and its terms p = Z u,
-    q^T = w^T Z and s = w^T p.
+    q^T = w^T Z and s = w^T p (the pair's ``rank_one``).
 
     Sherman-Morrison gives (A + v E)^-1 = Z - v p q^T / (1 + v s), whose
     (i, j) entry stays nonnegative exactly while v (p_i q_j - s z_ij) <= z_ij.
     W = Z E Z is p q^T, masked and checked as in the iteration."""
+    p, q, s = pair.rank_one
     den = np.outer(p, q)
     usable = _usable_denominators(den, 0.0)
     # W turns into the denominators p q^T - s Z in place.
-    den -= s * z
+    den -= s * pair.z
     usable &= den > 0.0
-    vstar, pick = _min_ratio(z, den, usable)
+    vstar, pick = _min_ratio(pair.z, den, usable)
     if math.isinf(vstar):
         return BuffoniTrace((), "diverged_infinite", math.inf)
-    steps = (IterationStep(v=0.0, increment=vstar, argmin=pick),)
-    if vstar > cap:
+    steps = (IterationStep(v=0.0, increment=vstar * pair.unit, argmin=pick),)
+    if vstar > pair.cap:
         return BuffoniTrace(steps, "diverged_infinite", math.inf)
-    return BuffoniTrace(steps, "converged", vstar)
+    return BuffoniTrace(steps, "converged", vstar * pair.unit)
 
 
-def _ratio_iteration(m: np.ndarray, pert: np.ndarray, z: np.ndarray, cap: float) -> BuffoniTrace:
-    """The iteration of :func:`buffoni_vstar` on a validated pair, starting
-    from v = 0 with Z = A^-1 and stopping past ``cap``."""
+def _ratio_iteration(pair: _Pair) -> BuffoniTrace:
+    """The iteration of :func:`buffoni_vstar` on the unit-scaled pair from
+    v = 0, stopping past the cap; steps and result are in the pair's units."""
+    m, pert, z, unit = pair.m, pair.pert, pair.z, pair.unit
     steps: list[IterationStep] = []
     v = 0.0
     while True:
         w = z @ pert @ z
-        usable = _usable_denominators(w, v)
+        usable = _usable_denominators(w, v * unit)
         if not usable.any():
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
         increment, pick = _min_ratio(z, w, usable)
-        steps.append(IterationStep(v=v, increment=increment, argmin=pick))
+        steps.append(IterationStep(v=v * unit, increment=increment * unit, argmin=pick))
         v += increment
         if increment <= CONVERGENCE_RTOL * v:
-            return BuffoniTrace(tuple(steps), "converged", v)
-        if v > cap:
+            return BuffoniTrace(tuple(steps), "converged", v * unit)
+        if v > pair.cap:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
         if len(steps) == MAX_ITER:
-            return BuffoniTrace(tuple(steps), "max_iterations", v)
+            return BuffoniTrace(tuple(steps), "max_iterations", v * unit)
         try:
             z = inverse(_perturbed(m, pert, v))
         except SingularMatrix as exc:
-            raise SingularIterate(f"iterate at v={v!r} is singular: {exc}") from None
+            raise SingularIterate(f"iterate at v={v * unit!r} is singular: {exc}") from None
 
 
 def bisection_vstar(
@@ -259,11 +276,12 @@ def bisection_vstar(
 ) -> float:
     """Independent threshold oracle: double an upper candidate from
     ``max|A| / (n max E)`` until monotonicity fails (returning math.inf once
-    past the cap of :func:`_cap`, and at once for a zero E), then narrow
-    the predicate boundary until the bracket is at most ``abs_tol`` wide or
-    no float lies strictly between its ends.  The first candidate scales
-    with A, so for c a power of two the search on (c A, E, c abs_tol)
-    returns exactly c times the search on (A, E, abs_tol), probe for probe.
+    past the pair's cap, and at once for a zero E), then narrow the
+    predicate boundary until the bracket is at most ``abs_tol`` wide or no
+    float lies strictly between its ends.  It runs on the unit-scaled pair
+    with ``abs_tol`` in its units, so the search on (c A, E, c abs_tol)
+    returns exactly c times the search on (A, E, abs_tol), probe for probe,
+    and on (A, c E, abs_tol / c) 1/c times, for c a power of two.
 
     Each narrowing probe is an ITP step (interpolate, truncate, project)
     towards the earliest entrywise secant crossing of the inverses at the
@@ -278,39 +296,31 @@ def bisection_vstar(
     never takes the closed form's word for v*: a wrong candidate costs an
     inverse, not a wrong verdict.
     """
-    m, pert, z = _validated_pair(a, e, tol)
-    return _bisect_from(m, pert, z, 0.0, abs_tol, tol, _rank_one_terms(pert, z))
+    return _bisect_from(_validated_pair(a, e, tol), 0.0, abs_tol)
 
 
-def _checked_inverse(
-    m: np.ndarray,
-    pert: np.ndarray,
-    v: float,
-    tol: float,
-    z: np.ndarray,
-    rank_one: _RankOneTerms | None,
-) -> tuple[MonotoneCheck, np.ndarray | None]:
-    """One probe of the search: the monotonicity verdict on A + v E and the
-    matrix it tested (None when A + v E is singular).
+def _checked_inverse(pair: _Pair, v: float) -> tuple[MonotoneCheck, np.ndarray | None]:
+    """One probe of the search: the monotonicity verdict on m + v pert (v in
+    the unit-scaled pair's units) and the matrix it tested (None when
+    m + v pert is singular).
 
-    With ``rank_one``, the :func:`_rank_one_terms` of E against ``z`` = A^-1,
-    the tested matrix is the Sherman-Morrison candidate
-    Z - v p q^T / (1 + v s) when :func:`_certified_check` proves its verdict;
-    otherwise, and for a general E, it is the inverse of A + v E."""
-    probe = _perturbed(m, pert, v)
-    if rank_one is not None:
-        p, q, s = rank_one
+    For a rank-one E the tested matrix is the Sherman-Morrison candidate
+    z - v p q^T / (1 + v s) when :func:`_certified_check` proves its verdict;
+    otherwise, and for a general E, it is the inverse of m + v pert."""
+    probe = _perturbed(pair.m, pair.pert, v)
+    if pair.rank_one is not None:
+        p, q, s = pair.rank_one
         # A zero or overflowing 1 + v s gives a non-finite candidate, which
         # the certificate declines.
         with np.errstate(all="ignore"):
             candidate = np.outer(p * v / (1.0 + v * s), q)
-            np.subtract(z, candidate, out=candidate)
-        verdict = _certified_check(probe, candidate, tol)
+            np.subtract(pair.z, candidate, out=candidate)
+        verdict = _certified_check(probe, candidate, pair.tol)
         if verdict is not None:
             return verdict, candidate
         # Freed before the inverse takes its own arrays.
         del candidate
-    return _monotone_inverse(probe, tol)
+    return _monotone_inverse(probe, pair.tol)
 
 
 def _perturbed(m: np.ndarray, pert: np.ndarray, v: float) -> np.ndarray:
@@ -371,48 +381,40 @@ def _certified_check(m: np.ndarray, z: np.ndarray, tol: float) -> MonotoneCheck 
     return check if margin > bound and regular else None
 
 
-def _bisect_from(
-    m: np.ndarray,
-    pert: np.ndarray,
-    z: np.ndarray,
-    seed: float,
-    abs_tol: float,
-    tol: float,
-    rank_one: _RankOneTerms | None = None,
-) -> float:
-    """The search of :func:`bisection_vstar` on a pair that already passed
-    :func:`_validated_pair`, with ``z`` the inverse of A and the bracket
-    grown around ``seed``.  ``rank_one`` holds the :func:`_rank_one_terms`
-    of the pair; without it every probe inverts.
+def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
+    """The search of :func:`bisection_vstar` on a pair from
+    :func:`_validated_pair`, with the bracket grown around ``seed``.
+    ``seed``, ``abs_tol`` and the result are in the pair's units; the search
+    itself runs in the unit-scaled pair's.
 
     A finite positive ``seed`` (the iteration's v*) is probed, then stepped
     from by ``abs_tol``, doubling the step until the predicate changes:
     upward when A + seed E is monotone, downward (at most to 0, where A was
     validated) when it is not.  A seed of 0 or math.inf takes the unseeded
-    expansion from h / n, with h = max|A| / max E the scale of the pair.
-    No candidate past :func:`_cap` is probed.  The bracket is then narrowed
+    expansion from h / n, with h the pair's scale max|A| / max E.  No
+    candidate past the pair's cap is probed.  The bracket is then narrowed
     by :func:`_itp_point` until it is at most ``abs_tol`` wide.  Either way
     the predicate alone confirms both ends of the final bracket, so a poor
     seed or a poor interpolant costs probes, not correctness.
     """
-    h = _pair_scale(m, pert)
-    if math.isinf(h):
+    if math.isinf(pair.h):
         return math.inf
-    cap = _cap(m, pert, z)
+    cap, unit = pair.cap, pair.unit
+    seed, abs_tol = seed / unit, abs_tol / unit
     # lo is always the last monotone probe (or 0, before one is made) and hi
     # the last failing one, so these are the matrices tested at the bracket
     # ends, or None at a singular hi.
-    last = {True: z, False: None}
+    last = {True: pair.z, False: None}
 
     def monotone_at(v: float) -> bool:
-        verdict, inv = _checked_inverse(m, pert, v, tol, z, rank_one)
+        verdict, inv = _checked_inverse(pair, v)
         last[bool(verdict)] = inv
         return bool(verdict)
 
     if 0.0 < seed < math.inf:
         step = abs_tol
     else:
-        seed, step = 0.0, h / m.shape[0]
+        seed, step = 0.0, pair.h / pair.m.shape[0]
     if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
         while hi <= cap and monotone_at(hi):
@@ -436,14 +438,14 @@ def _bisect_from(
         if not lo < mid < hi:
             break
         reach *= 0.5
-        v = _itp_point(lo, hi, last[True], last[False], tol, width, reach)
+        v = _itp_point(lo, hi, last[True], last[False], pair.tol, width, reach)
         if not lo < v < hi:
             v = mid
         if monotone_at(v):
             lo = v
         else:
             hi = v
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) * unit
 
 
 def _itp_point(
@@ -479,11 +481,9 @@ def _itp_point(
     above = z_lo[crossing] + floor_lo
     t = float(np.min(above / (above - (z_hi[crossing] + floor_hi))))
     v = lo + t * (hi - lo)
-    try:
-        shift = 0.2 * (hi - lo) ** 2 / width
-    except OverflowError:
-        # A square past the largest float moves v all the way to mid.
-        shift = math.inf
+    # On a unit-scaled pair the bracket is at most the cap (below 2^41 for
+    # normal entries) wide, so the square cannot overflow.
+    shift = 0.2 * (hi - lo) ** 2 / width
     v = v + math.copysign(shift, mid - v) if shift <= abs(mid - v) else mid
     radius = max(reach - 0.5 * (hi - lo), 0.0)
     return min(max(v, mid - radius), mid + radius)

@@ -34,7 +34,6 @@ from .buffoni import (
     BISECT_ABS_TOL,
     _bisect_from,
     _buffoni_from,
-    _rank_one_terms,
     _validated_pair,
 )
 from .classify import (
@@ -146,14 +145,13 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_vstar(args) -> dict:
-    # One validation, its inverse of A and the rank-one terms serve every
-    # method.
+    # One validated pair, with its inverse of A, cap and rank-one terms,
+    # serves every method.
     pair = _validated_pair(read_matrix(args.matrix), read_matrix(args.perturbation), args.tol)
-    rank_one = _rank_one_terms(pair[1], pair[2])
     section: dict = {"method": args.method}
     seed = 0.0
     if args.method in ("buffoni", "both"):
-        trace = _buffoni_from(*pair, rank_one)
+        trace = _buffoni_from(pair)
         section["buffoni"] = {
             "value": _num(trace.vstar),
             "status": trace.status,
@@ -164,7 +162,7 @@ def _cmd_vstar(args) -> dict:
         if trace.status == "converged":
             seed = trace.vstar
     if args.method in ("bisect", "both"):
-        bisect_value = _bisect_from(*pair, seed, BISECT_ABS_TOL, args.tol, rank_one)
+        bisect_value = _bisect_from(pair, seed, BISECT_ABS_TOL)
         section["bisection"] = {
             "value": _num(bisect_value),
             "status": "infinite" if math.isinf(bisect_value) else "finite",

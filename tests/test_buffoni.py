@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,8 +42,7 @@ def _unit(n, i, j):
 def _iterate(a, e):
     """The ratio iteration alone, the reference for pairs that
     buffoni_vstar solves in closed form."""
-    m, pert, z = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
-    return buffoni._ratio_iteration(m, pert, z, buffoni._cap(m, pert, z))
+    return buffoni._ratio_iteration(buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL))
 
 
 def test_single_entry_12(sample_a):
@@ -82,14 +82,14 @@ def test_diagonal_perturbation_never_breaks():
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Record each probe of the threshold search as (v, verdict); fail past
-    500 instead of running on."""
+    """Record each probe of the threshold search as (v, verdict), with v in
+    the caller's units; fail past 500 instead of running on."""
     seen = []
     checked_inverse = buffoni._checked_inverse
 
-    def counted(m, pert, v, *args):
-        verdict, inv = checked_inverse(m, pert, v, *args)
-        seen.append((v, verdict))
+    def counted(pair, v):
+        verdict, inv = checked_inverse(pair, v)
+        seen.append((v * pair.unit, verdict))
         if len(seen) > 500:
             pytest.fail("the search made more than 500 probes")
         return verdict, inv
@@ -100,24 +100,24 @@ def probes(monkeypatch):
 
 def _reference_search(a, e, seed, abs_tol, tol):
     """Reference for the threshold search: the same bracket expansion as
-    buffoni._bisect_from, narrowed by plain midpoint bisection.  Returns
+    buffoni._bisect_from, narrowed by plain midpoint bisection, in the
+    caller's units (the pair's scale h and cap times its unit).  Returns
     (value, number of probes)."""
-    m, pert, z = buffoni._validated_pair(a, e, tol)
-    h = buffoni._pair_scale(m, pert)
-    if np.isinf(h):
+    pair = buffoni._validated_pair(a, e, tol)
+    if np.isinf(pair.h):
         return np.inf, 0
-    cap = buffoni._cap(m, pert, z)
+    h, cap = pair.h * pair.unit, pair.cap * pair.unit
     count = 0
 
     def monotone_at(v):
         nonlocal count
         count += 1
-        return bool(is_monotone(m + v * pert, tol))
+        return bool(is_monotone(a + v * e, tol))
 
     if 0.0 < seed < np.inf:
         step = abs_tol
     else:
-        seed, step = 0.0, h / m.shape[0]
+        seed, step = 0.0, h / a.shape[0]
     if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
         while hi <= cap and monotone_at(hi):
@@ -158,19 +158,18 @@ def test_zero_perturbation_is_infinite(sample_a, probes):
     trace = buffoni_vstar(sample_a, zero)
     assert trace.status == "diverged_infinite"
     assert bisection_vstar(sample_a, zero) == np.inf
-    z = inverse(sample_a)
-    assert buffoni._bisect_from(sample_a, zero, z, np.inf, 1e-9, DEFAULT_MONOTONE_TOL) == np.inf
+    pair = buffoni._validated_pair(sample_a, zero, DEFAULT_MONOTONE_TOL)
+    assert buffoni._bisect_from(pair, np.inf, 1e-9) == np.inf
     assert not probes
 
 
 def test_identity_plus_ones_starts_broken():
-    # eye + J is monotone only marginally; v* = 0 because the inverse of
-    # I + v J already has negative entries for every v > 0... check it is not:
-    # actually (I + vJ)^{-1} = I - v/(1+nv) J which goes negative off-diagonal
-    # for any v > 0, so the threshold is exactly zero.
+    # (I + vJ)^-1 = I - v/(1+nv) J is negative off the diagonal for every
+    # v > 0, so the threshold is exactly zero.
     trace = buffoni_vstar(np.eye(3), np.ones((3, 3)))
     assert trace.status == "converged"
     assert trace.vstar == pytest.approx(0.0, abs=1e-12)
+    assert bisection_vstar(np.eye(3), np.ones((3, 3))) <= buffoni.BISECT_ABS_TOL
 
 
 def test_validation_errors(sample_a):
@@ -280,12 +279,14 @@ def test_search_takes_at_most_one_probe_beyond_bisection(probes):
 
 def test_search_bound_holds_when_only_a_is_scaled(probes):
     # With A and abs_tol alone scaled by c = 2^k, v* scales by c, and so does
-    # the first candidate max|A| / (n max E).  Every probe then scales by c
-    # exactly, so the result is c times the unscaled one with the same probe
-    # count, still at most one probe more than plain bisection.
+    # the first candidate max|A| / (n max E).  The search runs on the
+    # unit-scaled pair, so every probe scales by c exactly, even where the
+    # square of a bracket in the caller's units would overflow or underflow:
+    # the result is c times the unscaled one with the same probe count, still
+    # at most one probe more than plain bisection.
     for a, e, abs_tol, tol in _search_pairs():
         value, count, _ = _check_search(a, e, abs_tol, tol, probes)
-        for k in (20, -20, 40, -40):
+        for k in (20, -20, 40, -40, 600, -600, 1000, -1000):
             scale = 2.0**k
             got, taken, _ = _check_search(scale * a, e, scale * abs_tol, tol, probes)
             assert (got, taken) == (scale * value, count)
@@ -320,15 +321,17 @@ def test_iteration_stops_before_the_singularity_rule():
 def test_cap_keeps_half_the_singularity_budget():
     # max|A| * max|A^-1| = 1 / 3e-14 uses two thirds of the rule's 1e14, so
     # the cap falls from 1e12 to 0.5: past it A + v E could be refused.
+    def cap(a):
+        pair = buffoni._validated_pair(a, _unit(2, 0, 1), DEFAULT_MONOTONE_TOL)
+        return pair.cap * pair.unit
+
     a = np.array([[1.0, -1.0], [0.0, 3e-14]])
-    z = inverse(a)
-    cap = buffoni._cap(a, _unit(2, 0, 1), z)
-    assert cap == pytest.approx(0.5, rel=1e-12)
-    for k in (-40, 30):
-        assert buffoni._cap(2.0**k * a, _unit(2, 0, 1), 2.0**-k * z) == 2.0**k * cap
+    assert cap(a) == pytest.approx(0.5, rel=1e-12)
+    for k in (-40, 30, 1000):
+        assert cap(2.0**k * a) == 2.0**k * cap(a)
     # Where A alone uses more than half the budget, V_CAP * h stands.
     a[1, 1] = 1.5e-14
-    assert buffoni._cap(a, _unit(2, 0, 1), inverse(a)) == buffoni.V_CAP
+    assert cap(a) == buffoni.V_CAP
 
 
 def test_closed_form_past_the_cap_is_infinite():
@@ -380,7 +383,8 @@ def test_iteration_scales_with_the_pair():
         n = int(rng.integers(3, 12))
         a = random_sdd_m_matrix(rng, n)
         e = random_nonneg_perturbation(rng, n)
-        assert buffoni_vstar(2.0**-30 * a, e).vstar == 2.0**-30 * buffoni_vstar(a, e).vstar
+        for k in (-30, 600, -600):
+            assert buffoni_vstar(2.0**k * a, e).vstar == 2.0**k * buffoni_vstar(a, e).vstar
 
 
 def _rank_one_pairs(count, seed):
@@ -442,7 +446,7 @@ def test_closed_form_single_entry_matches_tridiagonal_bound():
 
 def test_closed_form_scales_with_the_pair():
     for a, e in _rank_one_pairs(20, 61):
-        for k in (-30, 7):
+        for k in (-30, 7, 600, -600):
             assert buffoni_vstar(2.0**k * a, e).vstar == 2.0**k * buffoni_vstar(a, e).vstar
 
 
@@ -480,7 +484,7 @@ def test_seeded_bisection_brackets_the_threshold(pair, seed, probes):
     if seed == "just_above":
         assert not is_monotone(a + start * e)  # the search has to step down
     probes.clear()
-    got = buffoni._bisect_from(a, e, inverse(a), start, abs_tol, DEFAULT_MONOTONE_TOL)
+    got = buffoni._bisect_from(buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL), start, abs_tol)
     assert abs(got - unseeded) <= abs_tol
     lo, hi = _final_bracket(probes)
     assert hi - lo <= abs_tol * (1 + 1e-6)
@@ -499,9 +503,8 @@ def test_exact_seed_takes_two_probes(sample_a, scale, probes):
     e = scale * np.ones((3, 3))
     exact = buffoni_vstar(sample_a, e).vstar
     probes.clear()
-    got = buffoni._bisect_from(
-        sample_a, e, inverse(sample_a), exact, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL
-    )
+    pair = buffoni._validated_pair(sample_a, e, DEFAULT_MONOTONE_TOL)
+    got = buffoni._bisect_from(pair, exact, buffoni.BISECT_ABS_TOL)
     assert [bool(verdict) for _, verdict in probes] == [True, False]
     assert got == 0.5 * (exact + (exact + buffoni.BISECT_ABS_TOL))
 
@@ -565,27 +568,46 @@ def test_threshold_grid_random():
             assert updated.min() >= -1e-10
 
 
-def test_narrowing_survives_a_bracket_whose_square_overflows(sample_a):
-    # The ITP shift squares the bracket width; past about 1.3e154 that square
-    # overflows, and the step falls back to the midpoint.
-    scale = 2.0**600
-    ones = np.ones((3, 3))
-    scaled = bisection_vstar(scale * sample_a, ones, abs_tol=scale * buffoni.BISECT_ABS_TOL)
-    assert math.isfinite(scaled)
-    assert abs(scaled - scale * bisection_vstar(sample_a, ones)) <= scale * buffoni.BISECT_ABS_TOL
+def test_narrowing_scales_exactly_at_2_to_the_600(sample_a, probes):
+    # The search on (c A, E, c abs_tol) and on (A, E / c, c abs_tol) is the
+    # unscaled one, probe for probe, where the square of a bracket in the
+    # caller's units would overflow (c = 2^600) or underflow (c = 2^-600).
+    ones, abs_tol = np.ones((3, 3)), buffoni.BISECT_ABS_TOL
+    value = bisection_vstar(sample_a, ones)
+    unscaled = [(v, bool(verdict)) for v, verdict in probes]
+    for c in (2.0**600, 2.0**-600):
+        for a, e in ((c * sample_a, ones), (sample_a, ones / c)):
+            probes.clear()
+            assert bisection_vstar(a, e, abs_tol=c * abs_tol) == c * value
+            assert [(v / c, bool(verdict)) for v, verdict in probes] == unscaled
+
+
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_threshold_past_the_float_range_reads_inf_or_zero(sample_a, k):
+    # max|A| / max E = 2^(2k), so t / s is no float and the threshold,
+    # 2^(2k) times that of (A, J), overflows or underflows: both searches
+    # report it as inf or 0, with no warning and no NaN on the way.
+    a, e = 2.0**k * sample_a, 2.0**-k * np.ones((3, 3))
+    full_rank = 2.0**-k * (np.eye(3) + np.eye(3)[::-1])
+    status, want = ("diverged_infinite", np.inf) if k > 0 else ("converged", 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = buffoni_vstar(a, e)
+        assert (trace.status, trace.vstar) == (status, want)
+        assert _iterate(a, full_rank).vstar == want
+        assert bisection_vstar(a, e) == bisection_vstar(a, full_rank) == want
 
 
 def _rank_one_sample(n, seed):
-    """A validated rank-one pair with a finite threshold:
-    (A, E, A^-1, rank-one terms, v*)."""
+    """A rank-one pair with a finite threshold: (A, E, the validated pair,
+    v* in the unit-scaled pair's units)."""
     rng = np.random.default_rng(seed)
     a = random_sdd_m_matrix(rng, n)
     e = np.outer(rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n))
-    m, pert, z = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
-    terms = buffoni._rank_one_terms(pert, z)
-    vstar = buffoni._buffoni_from(m, pert, z, terms).vstar
+    pair = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
+    vstar = buffoni._buffoni_from(pair).vstar / pair.unit
     assert math.isfinite(vstar)
-    return m, pert, z, terms, vstar
+    return a, e, pair, vstar
 
 
 def _peak_arrays(fn, n):
@@ -613,21 +635,27 @@ WORKING_SET_N = 240
 
 @pytest.mark.parametrize(
     "stage, budget",
-    [("certified probe", 3.0), ("rank-one terms", 1.3), ("closed form", 2.1)],
+    [
+        ("certified probe", 3.0),
+        ("rank-one terms", 1.3),
+        ("closed form", 2.1),
+        ("validated pair", 4.3),
+    ],
 )
 def test_threshold_search_working_set(stage, budget, monkeypatch):
     # Each stage holds a fixed number of n x n arrays beyond its inputs, so
     # a long-running process reuses the same heap from op to op.  The probe
-    # at v* is the certified one: it takes no inverse.
+    # at v* is the certified one: it takes no inverse.  The validated pair
+    # holds the scaled copies of A and E, the inverse and the rank-one terms.
     n = WORKING_SET_N
-    m, pert, z, terms, vstar = _rank_one_sample(n, 101)
-    monkeypatch.setattr(buffoni, "_monotone_inverse", lambda *args: pytest.fail("inverted"))
+    a, e, pair, vstar = _rank_one_sample(n, 101)
+    if stage != "validated pair":
+        monkeypatch.setattr(buffoni, "_monotone_inverse", lambda *args: pytest.fail("inverted"))
     run = {
-        "certified probe": lambda: buffoni._checked_inverse(
-            m, pert, vstar, DEFAULT_MONOTONE_TOL, z, terms
-        ),
-        "rank-one terms": lambda: buffoni._rank_one_terms(pert, z),
-        "closed form": lambda: buffoni._buffoni_from(m, pert, z, terms),
+        "certified probe": lambda: buffoni._checked_inverse(pair, vstar),
+        "rank-one terms": lambda: buffoni._rank_one_terms(pair.pert, pair.z),
+        "closed form": lambda: buffoni._buffoni_from(pair),
+        "validated pair": lambda: buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL),
     }[stage]
     assert _peak_arrays(run, n) <= budget + 0.1
 
@@ -664,7 +692,7 @@ def _candidate_probes():
     singularity rule), and a non-finite candidate where 1 + v s = 0."""
     cases = []
     for n, seed in ((3, 1), (8, 2), (30, 3), (60, 4)):
-        m, pert, z, (p, q, s), vstar = _rank_one_sample(n, seed)
+        _, _, (m, pert, z, *_, (p, q, s)), vstar = _rank_one_sample(n, seed)
         for k in (1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-6, 1 - 1e-6):
             v = vstar * k
             cases.append((m + v * pert, z - np.outer(p * v / (1.0 + v * s), q)))

@@ -266,18 +266,24 @@ def test_vstar_both_finds_the_rank_one_terms_once(capsys, monkeypatch, sample_fi
         assert (len(factors), len(terms)) == (1, 1)
 
 
-def test_vstar_bisect_on_a_huge_scale(capsys, tmp_path):
-    # The first brackets are about 1e180 wide, so the ITP shift's square
-    # overflows; the narrowing takes the midpoint instead of crashing.
+@pytest.mark.parametrize("method", ["bisect", "both"])
+def test_vstar_bisect_on_a_huge_scale(capsys, tmp_path, method):
+    # In the caller's units the brackets are about 1e180 wide and W = Z E Z
+    # is about 1e-362; on the unit-scaled pair neither is far from 1, so both
+    # searches find the finite threshold.
     big, ones = tmp_path / "big.txt", tmp_path / "ones.txt"
     big.write_text(format_dense(1e181 * SAMPLE_A))
     ones.write_text(format_dense(np.ones((3, 3))))
-    rc, out, err = run(capsys, ["vstar", str(big), str(ones), "--method", "bisect"])
+    rc, out, err = run(capsys, ["vstar", str(big), str(ones), "--method", method])
     assert (rc, err) == (0, "")
     report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
-    bisection = report["vstar"]["bisection"]
-    assert bisection["status"] == "finite"
-    assert bisection["value"] == pytest.approx(1e181 * SAMPLE_A_VSTAR_UNIFORM, rel=1e-8)
+    section = report["vstar"]
+    value = section["bisection"]["value"]
+    assert section["bisection"]["status"] == "finite"
+    assert value == pytest.approx(1e181 * SAMPLE_A_VSTAR_UNIFORM, rel=1e-8)
+    if method == "both":
+        assert section["buffoni"]["status"] == "converged"
+        assert section["discrepancy"] <= 1e-8 * value
 
 
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):

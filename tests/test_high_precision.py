@@ -132,13 +132,12 @@ def test_certified_verdicts_match_a_50_digit_inverse(pair):
     # A certified probe near v* takes no inverse; its verdict must be the one
     # the exact inverse of the probed matrix gives.
     tol = DEFAULT_MONOTONE_TOL
-    m, pert, z = buffoni._validated_pair(*pair, tol)
-    rank_one = buffoni._rank_one_terms(pert, z)
-    vstar = buffoni._rank_one_vstar(*rank_one, z, buffoni._cap(m, pert, z)).vstar
+    pair = buffoni._validated_pair(*pair, tol)
+    vstar = buffoni._rank_one_vstar(pair).vstar / pair.unit
     assume(np.isfinite(vstar))
     with _certified_verdicts() as decided:
         for k in NEAR_THRESHOLD:
-            buffoni._checked_inverse(m, pert, vstar * k, tol, z, rank_one)
+            buffoni._checked_inverse(pair, vstar * k)
     assert decided
     for probe, tol, verdict in decided:
         assert bool(verdict) == _mp_monotone(probe, tol)
