@@ -4,12 +4,16 @@ and an independent bracketing oracle over the monotonicity predicate
 (bisection whose probes are placed by ITP interpolation between the
 inverses at the bracket ends).
 
-For a rank-one E a probe of the oracle first tries a certified verdict: the
-Sherman-Morrison candidate for (A + v E)^-1 and one residual product prove,
-when the margin allows, that the predicate on the candidate gives the
-predicate on the exact inverse (:func:`_certified_check`).  Otherwise the
-probe inverts by LAPACK as for a general E.  The proof holds for the matrix
-whatever the candidate, so the oracle stays independent of the closed form.
+For a rank-one E a probe of the oracle first tries a certified verdict: a
+bound on the residual of the Sherman-Morrison candidate for (A + v E)^-1
+proves, when the margin allows, that the predicate on the candidate gives
+the predicate on the exact inverse (:func:`_certified_verdict`).  A search
+forms one residual, that of A^-1, with one matrix product
+(:func:`_search_residual`); each probe then bounds its own residual from it
+in O(1) (:func:`_probe_residual`).  Otherwise the probe inverts by LAPACK as
+for a general E.  Every term of the bound is measured or bounded from the
+operation that produced it, so the proof holds for the matrix whatever the
+candidate, and the oracle stays independent of the closed form.
 
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
 monotone A and an entrywise-nonnegative E.  Both searches run on the pair
@@ -52,6 +56,8 @@ RANK_ONE_RTOL = 1e-14
 BISECT_ABS_TOL = 1e-9
 #: Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0**-53
+#: The smallest subnormal: at most what one product loses to underflow.
+_UNDERFLOW = math.ulp(0.0)
 
 
 class IterationStep(NamedTuple):
@@ -80,8 +86,17 @@ class BuffoniTrace:
         return len(self.iterates)
 
 
-#: (p, q, s) = (Z u, w^T Z, w^T Z u) for a rank-one E = u w^T and Z = A^-1.
-_RankOneTerms = tuple[np.ndarray, np.ndarray, float]
+class _RankOne(NamedTuple):
+    """A rank-one E in unit scale, pert = u w^T + H with ||H||_inf <= ``h``
+    (infinity norms), and its Sherman-Morrison terms against ``z`` = m^-1 as
+    computed in floats: p = z u, q^T = w^T z and s = w^T p."""
+
+    u: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    s: float
+    h: float
 
 
 class _Pair(NamedTuple):
@@ -91,7 +106,8 @@ class _Pair(NamedTuple):
     (:func:`linalg._unit_scale`); ``z`` = m^-1; ``unit`` = t / s, so A + v E
     is monotone exactly when m + (v / unit) pert is; ``h`` = max|m| / max pert
     (math.inf for a zero E); the ``cap`` past which both searches report
-    math.inf; and the :func:`_rank_one_terms` of (pert, z)."""
+    math.inf; and the :func:`_rank_one_terms` of E (None unless E is rank
+    one)."""
 
     m: np.ndarray
     pert: np.ndarray
@@ -100,7 +116,7 @@ class _Pair(NamedTuple):
     unit: float
     h: float
     cap: float
-    rank_one: _RankOneTerms | None
+    rank_one: _RankOne | None
 
 
 def _validated_pair(a, e, tol: float) -> _Pair:
@@ -113,7 +129,12 @@ def _validated_pair(a, e, tol: float) -> _Pair:
     where m alone uses more, it is V_CAP * h.  Where max|A| / max E lies
     beyond about 2^+-1022, t moves towards s until t / s is a normal float
     and the cap falls to where cap * unit is finite: such a threshold reads
-    0 or math.inf, never NaN."""
+    0 or math.inf, never NaN.
+
+    E's rank-one factors are found on E as given, before the scaled copies
+    exist, so the pair holds at most three n x n arrays at once besides its
+    inputs and the inverse's own work.  Scaling by t is exact, so the factors
+    of t E are t u and w, unless an entry of t E or t u is subnormal."""
     a = as_square_matrix(a)
     e = as_square_matrix(e)
     if e.shape != a.shape:
@@ -122,6 +143,7 @@ def _validated_pair(a, e, tol: float) -> _Pair:
         )
     if np.any(e < 0.0):
         raise NegativePerturbation("perturbation must be entrywise nonnegative")
+    factors = _rank_one_factors(e)
     s = _unit_scale(float(max(a.max(), -a.min())))
     t = min(max(_unit_scale(float(e.max())), s * 2.0**-1022), s * 2.0**1023)
     unit = t / s
@@ -135,7 +157,8 @@ def _validated_pair(a, e, tol: float) -> _Pair:
     headroom = 0.5 / (SINGULARITY_RTOL * m_max * float(max(z.max(), -z.min()))) - 1.0
     cap = h * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
     cap = min(cap, float(np.finfo(float).max) / unit)
-    return _Pair(m, pert, z, tol, unit, h, cap, _rank_one_terms(pert, z))
+    rank_one = None if factors is None else _rank_one_terms(factors, t, z)
+    return _Pair(m, pert, z, tol, unit, h, cap, rank_one)
 
 
 def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
@@ -175,31 +198,43 @@ def _buffoni_from(pair: _Pair) -> BuffoniTrace:
     return _ratio_iteration(pair)
 
 
-def _rank_one_factors(pert: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(u, w) with E = u w^T, scaled so that w is 1 at E's largest entry, or
-    None when E is zero or not rank one to :data:`RANK_ONE_RTOL`."""
-    i, j = divmod(int(np.argmax(pert)), pert.shape[1])
-    top = float(pert[i, j])
+def _rank_one_factors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(u, w, h) with E = u w^T + H and ||H||_inf <= h, w scaled to 1 at E's
+    largest entry, or None when E is zero or not rank one to
+    :data:`RANK_ONE_RTOL`.
+
+    Each entry of |E - fl(u w^T)| as formed in floats is grown by what that
+    product can lose (the unit roundoff times max|u w^T| = max E, plus
+    underflow) and by the rounding of the subtraction; h is n times the
+    largest.  The test counts the underflow too, so E is not taken as rank
+    one where that loss alone could exceed the tolerance: where max E is
+    subnormal, or nearly so."""
+    i, j = divmod(int(np.argmax(e)), e.shape[1])
+    top = float(e[i, j])
     if top <= 0.0:
         return None
-    u, w = pert[:, j], pert[i, :] / top
+    u, w = e[:, j], e[i, :] / top
     # |E - u w^T| is formed in the one array that holds u w^T.
     gap = np.outer(u, w)
-    np.subtract(pert, gap, out=gap)
-    if float(np.abs(gap, out=gap).max()) > RANK_ONE_RTOL * top:
+    np.subtract(e, gap, out=gap)
+    gap_max = float(np.abs(gap, out=gap).max())
+    if gap_max + _UNDERFLOW > RANK_ONE_RTOL * top:
         return None
-    return u, w
+    n = e.shape[0]
+    return u, w, n * (_grow(n) * (gap_max + _UNIT_ROUNDOFF * top) + _UNDERFLOW)
 
 
-def _rank_one_terms(pert: np.ndarray, z: np.ndarray) -> _RankOneTerms | None:
-    """The Sherman-Morrison terms (p, q, s) of E against ``z`` = A^-1, found
-    once per pair, or None when E is not rank one (:func:`_rank_one_factors`)."""
-    factors = _rank_one_factors(pert)
-    if factors is None:
-        return None
-    u, w = factors
+def _rank_one_terms(
+    factors: tuple[np.ndarray, np.ndarray, float], t: float, z: np.ndarray
+) -> _RankOne:
+    """The :class:`_RankOne` record of pert = t E from E's
+    :func:`_rank_one_factors` (u, w, h) and ``z`` = m^-1, found once per
+    pair.  u and h scale by t; where an entry of t E or t u rounds to a
+    subnormal, each row of H moves by at most n 2^-1074 more."""
+    u, w, h = factors
+    u = u * t
     p = z @ u
-    return p, w @ z, float(w @ p)
+    return _RankOne(u, w, p, w @ z, float(w @ p), t * h + u.size * _UNDERFLOW)
 
 
 def _usable_denominators(w: np.ndarray, v: float) -> np.ndarray:
@@ -230,7 +265,7 @@ def _rank_one_vstar(pair: _Pair) -> BuffoniTrace:
     Sherman-Morrison gives (A + v E)^-1 = Z - v p q^T / (1 + v s), whose
     (i, j) entry stays nonnegative exactly while v (p_i q_j - s z_ij) <= z_ij.
     W = Z E Z is p q^T, masked and checked as in the iteration."""
-    p, q, s = pair.rank_one
+    p, q, s = pair.rank_one.p, pair.rank_one.q, pair.rank_one.s
     den = np.outer(p, q)
     usable = _usable_denominators(den, 0.0)
     # W turns into the denominators p q^T - s Z in place.
@@ -290,37 +325,48 @@ def bisection_vstar(
     probes.  Only the predicate's verdicts move the bracket ends.
 
     For a rank-one E a probe takes no LAPACK inverse when a residual bound
-    proves its verdict (:func:`_certified_check` on the Sherman-Morrison
-    candidate), and inverts A + v E otherwise.  A certified verdict is a
-    fact about A + v E itself, whatever the candidate, so the oracle still
-    never takes the closed form's word for v*: a wrong candidate costs an
-    inverse, not a wrong verdict.
+    proves its verdict on the Sherman-Morrison candidate, and inverts A + v E
+    otherwise.  The search forms one residual, I - A Z for the inverse Z
+    that validated A (one matrix product), and bounds each probe's residual
+    from it and the rank-one terms in O(1) (:func:`_probe_residual`).  A
+    certified verdict is a fact about A + v E itself, whatever the
+    candidate, so the oracle still never takes the closed form's word for
+    v*: a wrong candidate costs an inverse, not a wrong verdict.
     """
     return _bisect_from(_validated_pair(a, e, tol), 0.0, abs_tol)
 
 
-def _checked_inverse(pair: _Pair, v: float) -> tuple[MonotoneCheck, np.ndarray | None]:
+def _checked_inverse(
+    pair: _Pair, v: float, residual: _SearchResidual | None
+) -> tuple[MonotoneCheck, np.ndarray | None]:
     """One probe of the search: the monotonicity verdict on m + v pert (v in
     the unit-scaled pair's units) and the matrix it tested (None when
     m + v pert is singular).
 
-    For a rank-one E the tested matrix is the Sherman-Morrison candidate
-    z - v p q^T / (1 + v s) when :func:`_certified_check` proves its verdict;
-    otherwise, and for a general E, it is the inverse of m + v pert."""
-    probe = _perturbed(pair.m, pair.pert, v)
-    if pair.rank_one is not None:
-        p, q, s = pair.rank_one
-        # A zero or overflowing 1 + v s gives a non-finite candidate, which
-        # the certificate declines.
-        with np.errstate(all="ignore"):
-            candidate = np.outer(p * v / (1.0 + v * s), q)
-            np.subtract(pair.z, candidate, out=candidate)
-        verdict = _certified_check(probe, candidate, pair.tol)
+    With ``residual``, the search's bound for a rank-one E
+    (:func:`_search_residual`), the tested matrix is the Sherman-Morrison
+    candidate (:func:`_candidate`) when its O(1) residual bound
+    (:func:`_probe_residual`) proves its verdict; otherwise, and for a
+    general E, it is the inverse of m + v pert, which only then is formed."""
+    if residual is not None:
+        candidate = _candidate(pair, v)
+        verdict = _certified_verdict(candidate, _probe_residual(residual, v), pair.tol)
         if verdict is not None:
             return verdict, candidate
         # Freed before the inverse takes its own arrays.
         del candidate
-    return _monotone_inverse(probe, pair.tol)
+    return _monotone_inverse(_perturbed(pair.m, pair.pert, v), pair.tol)
+
+
+def _candidate(pair: _Pair, v: float) -> np.ndarray:
+    """z - v p q^T / (1 + v s) in one new array: the Sherman-Morrison
+    candidate for (m + v pert)^-1 from the pair's rank-one terms.  A zero or
+    overflowing 1 + v s gives a non-finite candidate, without a warning."""
+    p, q, s = pair.rank_one.p, pair.rank_one.q, pair.rank_one.s
+    with np.errstate(all="ignore"):
+        candidate = np.outer(p * v / (1.0 + v * s), q)
+        np.subtract(pair.z, candidate, out=candidate)
+    return candidate
 
 
 def _perturbed(m: np.ndarray, pert: np.ndarray, v: float) -> np.ndarray:
@@ -330,33 +376,34 @@ def _perturbed(m: np.ndarray, pert: np.ndarray, v: float) -> np.ndarray:
     return out
 
 
-def _certified_check(m: np.ndarray, z: np.ndarray, tol: float) -> MonotoneCheck | None:
-    """:func:`classify._monotone_check` of ``z`` when a residual bound proves
-    it is also the verdict on the exact inverse of ``m``; None otherwise.
+def _grow(n: int) -> float:
+    """1 + 4 (n + 2) u, with u the unit roundoff: the factor that covers the
+    rounding of a norm, sum or product of a few terms taken in floats (a
+    row sum of n terms is within gamma_{n-1} of the exact sum)."""
+    return 1.0 + 4.0 * (n + 2) * _UNIT_ROUNDOFF
 
-    With R = I - m z, every entry of m^-1 - z = z R (I - R)^-1 is at most
-    delta = ||z|| rho / (1 - rho) in magnitude for any rho >= ||R|| below 1
-    (infinity norms).  The computed residual is within
-    gamma_{n+1} (I + |m| |z|) of R for a conventional O(n^3) matrix product
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5;
-    Rump, Acta Numerica 19, 2010), so rho adds that term.  The minimum entry
-    and tol times the largest magnitude then move by at most (1 + tol) delta
-    from z to m^-1, and the verdict is kept only when its margin
-    value + tol max|z| is larger.  It is also kept only when
-    SINGULARITY_RTOL max|m| (max|z| + delta) < 1, so no matrix that
-    :func:`linalg.inverse` could refuse gets a certified verdict.
 
-    Every norm, sum and product below is taken in floats and then grown by
-    the factor 1 + 4 (n + 2) u, with u the unit roundoff, which bounds its
-    rounding (a row sum of n
-    terms is within gamma_{n-1} of the exact sum) and the underflow of the
-    residual product, since rho >= gamma_{n+1}.  Where delta or the margin
-    falls below the normal range, a few units of the smallest subnormal
-    bound what their rounding loses.  A non-finite ``z`` or residual fails
-    ``rho < 1``, without a warning.
-    """
+class _Residual(NamedTuple):
+    """Bounds for a matrix M and a candidate Z~ for M^-1, up to the rounding
+    that :func:`_grow` covers: ``rho`` >= ||I - M Z~||, ``m_norm`` >= ||M||,
+    ``m_max`` >= max|M| and ``z_norm`` >= ||Z~|| (infinity norms)."""
+
+    rho: float
+    m_norm: float
+    m_max: float
+    z_norm: float
+
+
+def _residual_bound(m: np.ndarray, z: np.ndarray) -> _Residual:
+    """The :class:`_Residual` of ``m`` and ``z`` from one matrix product.
+
+    The computed residual I - m z is within gamma_{n+1} (I + |m| |z|) of the
+    exact one for a conventional O(n^3) matrix product (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.5; Rump, Acta Numerica
+    19, 2010), so rho adds that term, and rho >= gamma_{n+1} also covers the
+    product's underflow.  A non-finite ``z`` or residual gives a rho that
+    fails ``rho < 1``, without a warning."""
     n = m.shape[0]
-    grow = 1.0 + 4.0 * (n + 2) * _UNIT_ROUNDOFF
     # At least gamma_{n+1} = (n + 1) u / (1 - (n + 1) u) for n below 10^13.
     gamma = 1.01 * (n + 1) * _UNIT_ROUNDOFF
     with np.errstate(all="ignore"):
@@ -368,17 +415,136 @@ def _certified_check(m: np.ndarray, z: np.ndarray, tol: float) -> MonotoneCheck 
         np.abs(m, out=work)
         m_norm, m_max = float(work.sum(axis=1).max()), float(work.max())
         np.abs(z, out=work)
-        z_norm, z_max = float(work.sum(axis=1).max()), float(work.max())
-    rho = grow * (r_norm + gamma * (1.0 + m_norm * z_norm))
+        z_norm = float(work.sum(axis=1).max())
+    rho = _grow(n) * (r_norm + gamma * (1.0 + m_norm * z_norm))
+    return _Residual(rho, m_norm, m_max, z_norm)
+
+
+def _certified_verdict(z: np.ndarray, residual: _Residual, tol: float) -> MonotoneCheck | None:
+    """:func:`classify._monotone_check` of ``z`` when ``residual`` proves it
+    is also the verdict on the exact inverse of the matrix M it bounds; None
+    otherwise.
+
+    With R = I - M z, every entry of M^-1 - z = z R (I - R)^-1 is at most
+    delta = ||z|| rho / (1 - rho) in magnitude for any rho >= ||R|| below 1.
+    The minimum entry and tol times the largest magnitude then move by at
+    most (1 + tol) delta from z to M^-1, and the verdict is kept only when
+    its margin value + tol max|z| is larger.  It is also kept only when
+    SINGULARITY_RTOL max|M| (max|z| + delta) < 1, so no matrix that
+    :func:`linalg.inverse` could refuse gets a certified verdict.
+
+    Every norm, sum and product is grown by :func:`_grow`.  Where delta or
+    the margin falls below the normal range, a few units of the smallest
+    subnormal bound what their rounding loses.  A non-finite ``z`` fails
+    the margin test, without a warning.
+    """
+    rho = residual.rho
     if not rho < 1.0:
         return None
-    delta = grow * z_norm * rho / (1.0 - rho)
+    grow = _grow(z.shape[0])
+    delta = grow * residual.z_norm * rho / (1.0 - rho)
     check = _monotone_check(z, tol)
+    z_max = max(float(z.max()), -check.value)
     slack = tol * z_max
     margin = abs(check.value + slack)
-    bound = grow * ((1.0 + tol) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
-    regular = grow * SINGULARITY_RTOL * m_max * (z_max + delta) < 1.0
+    bound = grow * ((1.0 + tol) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * _UNDERFLOW
+    regular = grow * SINGULARITY_RTOL * residual.m_max * (z_max + delta) < 1.0
     return check if margin > bound and regular else None
+
+
+class _SearchResidual(NamedTuple):
+    """What every rank-one probe of one search reads to bound its residual
+    (:func:`_probe_residual`), found once by :func:`_search_residual`:
+    ``base``, the :class:`_Residual` of (m, z); n; s; ``e_norm`` >= ||pert||
+    and ``e_max`` >= max pert; ``h`` >= ||H||; ``pq`` = ||p|| ||q||_1 and
+    ``uq`` = ||u|| ||q||_1; ``q_norm`` = ||q||_1; ``rq`` >= ||u - m p|| ||q||_1,
+    ``ue`` >= ||u|| ||Z^T w - q||_1 and ``se`` >= |w^T p - s|, with p, q and s
+    as the pair holds them."""
+
+    base: _Residual
+    n: int
+    s: float
+    e_norm: float
+    e_max: float
+    h: float
+    pq: float
+    uq: float
+    q_norm: float
+    rq: float
+    ue: float
+    se: float
+
+
+def _search_residual(pair: _Pair) -> _SearchResidual:
+    """The :class:`_SearchResidual` of a rank-one pair: one matrix product
+    (:func:`_residual_bound` of m and z) and a few O(n^2) passes.
+
+    q and s are formed again as the pair forms them and p is multiplied by
+    m, and what each misses is measured, together with the gamma_n rounding
+    of those products: gamma_n ||m|| ||p|| for m p, gamma_n ||w||_1 ||z||
+    for w^T z and gamma_n |w|^T |p| for w^T p, each plus n 2^-1074 of
+    underflow per entry.  So p, q and s need not be the ones their products
+    give: a wrong term widens the bound of every probe, which then inverts.
+    ||pert|| and max pert are bounded from pert = u w^T + H in O(n)."""
+    m, z = pair.m, pair.z
+    u, w, p, q, s, h = pair.rank_one
+    n = m.shape[0]
+    base = _residual_bound(m, z)
+    gamma = 1.01 * n * _UNIT_ROUNDOFF
+    tiny = n * _UNDERFLOW
+    grow = _grow(n)
+    with np.errstate(all="ignore"):
+        u_max, w_max, p_max = float(u.max()), float(w.max()), float(np.abs(p).max())
+        q_norm, w_norm = float(np.abs(q).sum()), float(w.sum())
+        r_p = float(np.abs(u - m @ p).max()) + gamma * base.m_norm * p_max + tiny
+        e_q = float(np.abs(w @ z - q).sum()) + gamma * w_norm * base.z_norm + n * tiny
+        e_s = abs(float(w @ p) - s) + gamma * float(w @ np.abs(p)) + tiny
+    return _SearchResidual(
+        base, n, s, u_max * w_norm + h, u_max * w_max + h, h,
+        pq=grow * p_max * q_norm,
+        uq=grow * u_max * q_norm,
+        q_norm=grow * q_norm,
+        rq=grow * r_p * q_norm,
+        ue=grow * u_max * e_q,
+        se=grow * e_s,
+    )
+
+
+def _probe_residual(b: _SearchResidual, v: float) -> _Residual:
+    """The :class:`_Residual` of the probe M = fl(m + v pert) and its
+    candidate Z~ (:func:`_candidate`), in O(1) from the search's.
+
+    With c = v / d, d = fl(1 + v s) as the candidate forms it, and
+    Y = z - c p q^T, exact arithmetic gives
+    I - M Z~ = R0 - c r q^T - v u e^T - k u q^T - (v H + F) Y - M G,
+    where R0 = I - m z, r = u - m p, e = Z^T w - q, k = c (d - 1 - v w^T p),
+    F = M - m - v pert and G = Z~ - Y.  So rho adds to rho0: |c| ||r|| ||q||_1;
+    v ||u|| ||e||_1; |k| ||u|| ||q||_1 with
+    |k| <= |c| (eps (|d| + v |s|) + v |w^T p - s| + 2^-1074); and
+    (v ||H|| + ||F||) (||Z~|| + ||G||) + ||M|| ||G||, where
+    ||F|| <= 2 eps (||m|| + v ||pert||) + n 2^-1074 (forming M) and
+    ||G|| <= eps ||Z~|| + 3 eps |c| ||p|| ||q||_1 + (2 (1 + 1/|d|) ||q||_1 + n) 2^-1074
+    (forming the candidate), with eps the unit roundoff.  ||Z~|| is bounded by
+    ||z|| + |c| ||p|| ||q||_1 plus that underflow term, and max|M| by
+    max|m| + v max pert.  With p, q and s exact, the whole residual is
+    R0 (I - c u q^T)."""
+    unit, tiny = _UNIT_ROUNDOFF, _UNDERFLOW
+    base = b.base
+    d = 1.0 + v * b.s
+    c = abs(v / d) if d != 0.0 else math.inf
+    lost = (2.0 * (1.0 + 1.0 / abs(d)) * b.q_norm + b.n) * tiny if d != 0.0 else math.inf
+    z_norm = base.z_norm + c * b.pq + lost
+    g = unit * z_norm + 3.0 * unit * c * b.pq + lost
+    m_norm = base.m_norm + v * b.e_norm
+    f = 2.0 * unit * m_norm + b.n * tiny
+    k = c * (unit * (abs(d) + v * abs(b.s)) + v * b.se + tiny)
+    rho = (
+        base.rho + c * b.rq + v * b.ue + k * b.uq
+        + (v * b.h + f) * (z_norm + g) + (m_norm + f) * g
+    )
+    grow = _grow(b.n)
+    m_max = grow * (base.m_max + v * b.e_max) + tiny
+    return _Residual(grow * rho, grow * (m_norm + f), m_max, grow * z_norm)
 
 
 def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
@@ -405,9 +571,10 @@ def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
     # the last failing one, so these are the matrices tested at the bracket
     # ends, or None at a singular hi.
     last = {True: pair.z, False: None}
+    residual = None if pair.rank_one is None else _search_residual(pair)
 
     def monotone_at(v: float) -> bool:
-        verdict, inv = _checked_inverse(pair, v)
+        verdict, inv = _checked_inverse(pair, v, residual)
         last[bool(verdict)] = inv
         return bool(verdict)
 

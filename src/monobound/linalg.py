@@ -3,7 +3,8 @@
 :func:`inverse` is one LAPACK call (``numpy.linalg.inv``: gesv against I),
 so every monotonicity verdict in the package comes from one engine, except
 the threshold search's rank-one probes that a residual certificate decides
-(:func:`buffoni._certified_check`).  Its
+(:func:`buffoni._certified_verdict`: one residual of A^-1 per search, and an
+O(1) bound from it per probe).  Its
 singularity test is the package's one rule for a singular matrix: the
 inverse is refused unless ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.
 The determinant-based bounds (:func:`bounds.sigma_via_determinant`,

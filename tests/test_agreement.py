@@ -99,8 +99,20 @@ def _structural_zero_pair():
     return a, e
 
 
+def _structural_zero_pair_13():
+    """A 13x13 pair with the same defect, drawn by the soundness test's
+    strategy: A = 0.01 I outside rows 5, 7 and 9 (1-based entries below)."""
+    a = 0.01 * np.eye(13)
+    for (i, j), x in {(5, 5): 1.222, (7, 7): 1.222, (5, 7): -1.0, (7, 6): -1.0, (5, 2): -0.2,
+                      (7, 5): -0.2, (9, 5): -0.2, (9, 6): -0.5, (9, 9): 0.717}.items():
+        a[i - 1, j - 1] = x
+    e = np.zeros_like(a)
+    e[0, 0], e[6, 5] = 0.5, 1.0
+    return a, e
+
+
 FIXED_PAIRS = [pytest.param(*pair, id=name) for name, pair in INFINITE_THRESHOLD_PAIRS.items()]
-FIXED_PAIRS.append(
+FIXED_PAIRS += [
     pytest.param(
         *_structural_zero_pair(),
         id="structural-zero-11x11",
@@ -110,8 +122,18 @@ FIXED_PAIRS.append(
             reason="CHANGES.md FOUND (issue 15): buffoni_vstar stops at 0.96792 on a "
             "structurally zero entry of Z, where the threshold is about 1.0",
         ),
-    )
-)
+    ),
+    pytest.param(
+        *_structural_zero_pair_13(),
+        id="structural-zero-13x13",
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="buffoni_vstar reports converged at 0.62 after 6 steps on a structurally "
+            "zero entry of Z, where the bisection gives 1.0000000001",
+        ),
+    ),
+]
 
 
 @pytest.mark.parametrize("a, e", FIXED_PAIRS)

@@ -30,7 +30,7 @@ from monobound import (
     tridiagonal_bound,
 )
 from monobound.classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_check
-from monobound.linalg import SINGULARITY_RTOL
+from monobound.linalg import SINGULARITY_RTOL, _unit_scale
 
 
 def _unit(n, i, j):
@@ -87,8 +87,8 @@ def probes(monkeypatch):
     seen = []
     checked_inverse = buffoni._checked_inverse
 
-    def counted(pair, v):
-        verdict, inv = checked_inverse(pair, v)
+    def counted(pair, v, residual):
+        verdict, inv = checked_inverse(pair, v, residual)
         seen.append((v * pair.unit, verdict))
         if len(seen) > 500:
             pytest.fail("the search made more than 500 probes")
@@ -598,6 +598,20 @@ def test_threshold_past_the_float_range_reads_inf_or_zero(sample_a, k):
         assert bisection_vstar(a, e) == bisection_vstar(a, full_rank) == want
 
 
+@pytest.mark.parametrize("k", [-1060, -1072])
+def test_subnormal_rank_one_perturbation_takes_the_iteration(sample_a, k):
+    # E = 2^k u w^T rounds to subnormals, so it is rank one only to about
+    # 2^-1075 / max E, and a product u_i w_j recomputed in that range loses
+    # as much: the closed form would answer for u w^T.  E takes the
+    # iteration, which agrees with the bisection.
+    rng = np.random.default_rng(3)
+    a, e = 2.0**-1000 * sample_a, 2.0**k * np.outer(rng.uniform(0.1, 2.0, 3), rng.uniform(0.1, 2.0, 3))
+    assert buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL).rank_one is None
+    scale = 2.0 ** (-1000 - k)
+    exact = buffoni_vstar(a, e).vstar / scale
+    assert exact == pytest.approx(bisection_vstar(a, e, abs_tol=1e-9 * scale) / scale, rel=1e-8)
+
+
 def _rank_one_sample(n, seed):
     """A rank-one pair with a finite threshold: (A, E, the validated pair,
     v* in the unit-scaled pair's units)."""
@@ -636,33 +650,45 @@ WORKING_SET_N = 240
 @pytest.mark.parametrize(
     "stage, budget",
     [
-        ("certified probe", 3.0),
+        ("certified probe", 1.3),
         ("rank-one terms", 1.3),
         ("closed form", 2.1),
-        ("validated pair", 4.3),
+        ("validated pair", 3.0),
+        ("seeded search", 3.3),
+        ("unseeded search", 4.0),
     ],
 )
 def test_threshold_search_working_set(stage, budget, monkeypatch):
     # Each stage holds a fixed number of n x n arrays beyond its inputs, so
-    # a long-running process reuses the same heap from op to op.  The probe
-    # at v* is the certified one: it takes no inverse.  The validated pair
-    # holds the scaled copies of A and E, the inverse and the rank-one terms.
+    # a long-running process reuses the same heap from op to op.  A certified
+    # probe takes no inverse and forms no A + v E.  The validated pair holds
+    # the scaled copies of A and E and the inverse; E's rank-one factors are
+    # found before they exist.  A search holds the matrices tested at both
+    # bracket ends and the next candidate, and before its first probe its one
+    # residual product.  The unseeded search's last probe lands so near v*
+    # that no certificate has the margin, so it inverts A + v E.
     n = WORKING_SET_N
     a, e, pair, vstar = _rank_one_sample(n, 101)
-    if stage != "validated pair":
+    if stage not in ("validated pair", "unseeded search"):
         monkeypatch.setattr(buffoni, "_monotone_inverse", lambda *args: pytest.fail("inverted"))
+    residual = buffoni._search_residual(pair)
+    t, abs_tol = _unit_scale(float(e.max())), buffoni.BISECT_ABS_TOL
     run = {
-        "certified probe": lambda: buffoni._checked_inverse(pair, vstar),
-        "rank-one terms": lambda: buffoni._rank_one_terms(pair.pert, pair.z),
+        "certified probe": lambda: buffoni._checked_inverse(pair, vstar, residual),
+        "rank-one terms": lambda: buffoni._rank_one_terms(buffoni._rank_one_factors(e), t, pair.z),
         "closed form": lambda: buffoni._buffoni_from(pair),
         "validated pair": lambda: buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL),
+        "seeded search": lambda: buffoni._bisect_from(pair, vstar * pair.unit, abs_tol),
+        "unseeded search": lambda: buffoni._bisect_from(pair, 0.0, abs_tol),
     }[stage]
     assert _peak_arrays(run, n) <= budget + 0.1
 
 
 def _reference_certified_check(m, z, tol):
-    """Reference for buffoni._certified_check: the same certificate with a
-    fresh array for each of the residual, |m| and |z|."""
+    """Reference for the certificate of ``z`` as an inverse of ``m`` from one
+    residual product (buffoni._residual_bound, then buffoni._certified_verdict):
+    the same certificate with a fresh array for each of the residual, |m| and
+    |z|."""
     n = m.shape[0]
     grow = 1.0 + 4.0 * (n + 2) * buffoni._UNIT_ROUNDOFF
     gamma = 1.01 * (n + 1) * buffoni._UNIT_ROUNDOFF
@@ -692,7 +718,7 @@ def _candidate_probes():
     singularity rule), and a non-finite candidate where 1 + v s = 0."""
     cases = []
     for n, seed in ((3, 1), (8, 2), (30, 3), (60, 4)):
-        _, _, (m, pert, z, *_, (p, q, s)), vstar = _rank_one_sample(n, seed)
+        _, _, (m, pert, z, *_, (_, _, p, q, s, _)), vstar = _rank_one_sample(n, seed)
         for k in (1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-6, 1 - 1e-6):
             v = vstar * k
             cases.append((m + v * pert, z - np.outer(p * v / (1.0 + v * s), q)))
@@ -713,7 +739,7 @@ def test_certificate_matches_its_reference():
     tol = DEFAULT_MONOTONE_TOL
     decided = declined = 0
     for m, z in _candidate_probes():
-        got = buffoni._certified_check(m, z, tol)
+        got = buffoni._certified_verdict(z, buffoni._residual_bound(m, z), tol)
         assert got == _reference_certified_check(m, z, tol)
         assert got is None or isinstance(got, MonotoneCheck)
         decided += got is not None

@@ -222,6 +222,27 @@ def test_vstar_both_inverts_once_for_a_rank_one_pair(capsys, monkeypatch, sample
     assert (iterations, len(probes), len(factorizations)) == (1, 2, 1)
 
 
+def test_vstar_forms_one_residual_per_threshold_search(capsys, monkeypatch, tmp_path):
+    # A rank-one search bounds the residual of every probe's candidate from
+    # one matrix product, however many probes it takes; the closed form of
+    # `--method buffoni` forms none.
+    rng = np.random.default_rng(79)
+    a_path, e_path = tmp_path / "rank-one-a.txt", tmp_path / "rank-one-e.txt"
+    a_path.write_text(format_dense(random_sdd_m_matrix(rng, 7)))
+    e_path.write_text(format_dense(np.outer(rng.uniform(0, 1, 7), rng.uniform(0, 1, 7))))
+    products = _count_calls(monkeypatch, buffoni, "_residual_bound")
+    probes = _count_calls(monkeypatch, buffoni, "_checked_inverse")
+    counts = {}
+    for method in ("buffoni", "both", "bisect"):
+        products.clear()
+        probes.clear()
+        run_json(capsys, ["vstar", str(a_path), str(e_path), "--method", method])
+        counts[method] = (len(products), len(probes))
+    assert counts["buffoni"] == (0, 0)
+    assert counts["both"][0] == counts["bisect"][0] == 1
+    assert 2 <= counts["both"][1] < counts["bisect"][1]
+
+
 def test_vstar_probes_invert_when_the_certificate_declines(
     capsys, monkeypatch, sample_file, tmp_path
 ):
@@ -240,7 +261,7 @@ def test_vstar_probes_invert_when_the_certificate_declines(
         argv = ["vstar", str(a_file), str(e_file), "--method", method]
         certified = run(capsys, argv)
         with monkeypatch.context() as patch:
-            patch.setattr(buffoni, "_certified_check", lambda *args: None)
+            patch.setattr(buffoni, "_certified_verdict", lambda *args: None)
             factorizations = _count_calls(patch, linalg, "inverse")
             probes = _count_calls(patch, buffoni, "_checked_inverse")
             inverted = run(capsys, argv)

@@ -86,18 +86,25 @@ def _mp_monotone(m, tol):
 
 @contextmanager
 def _certified_verdicts():
-    """Collect (matrix, tol, verdict) for every verdict that
-    buffoni._certified_check decides."""
-    decided = []
-    certify = buffoni._certified_check
+    """Collect (probe matrix, tol, verdict) for every probe of the threshold
+    search that takes no inverse, so that a residual certificate decided."""
+    decided, inverted = [], []
+    checked_inverse, monotone_inverse = buffoni._checked_inverse, buffoni._monotone_inverse
 
-    def recorded(m, z, tol):
-        verdict = certify(m, z, tol)
-        if verdict is not None:
-            decided.append((m, tol, verdict))
-        return verdict
+    def counted(*args):
+        inverted.append(args)
+        return monotone_inverse(*args)
 
-    with mock.patch.object(buffoni, "_certified_check", recorded):
+    def recorded(pair, v, residual):
+        before = len(inverted)
+        verdict, inv = checked_inverse(pair, v, residual)
+        if len(inverted) == before:
+            decided.append((buffoni._perturbed(pair.m, pair.pert, v), pair.tol, verdict))
+        return verdict, inv
+
+    with mock.patch.object(buffoni, "_monotone_inverse", counted), mock.patch.object(
+        buffoni, "_checked_inverse", recorded
+    ):
         yield decided
 
 
@@ -135,10 +142,52 @@ def test_certified_verdicts_match_a_50_digit_inverse(pair):
     pair = buffoni._validated_pair(*pair, tol)
     vstar = buffoni._rank_one_vstar(pair).vstar / pair.unit
     assume(np.isfinite(vstar))
+    residual = buffoni._search_residual(pair)
     with _certified_verdicts() as decided:
         for k in NEAR_THRESHOLD:
-            buffoni._checked_inverse(pair, vstar * k)
+            buffoni._checked_inverse(pair, vstar * k, residual)
     assert decided
+    for probe, tol, verdict in decided:
+        assert bool(verdict) == _mp_monotone(probe, tol)
+
+
+def _mp_residual_norm(m, z):
+    """||I - m z||_inf in 50 digits."""
+    with mp.workdps(50):
+        r = mp.eye(len(m)) - mp.matrix(m.tolist()) * mp.matrix(z.tolist())
+        return max(mp.fsum(abs(r[i, j]) for j in range(r.cols)) for i in range(r.rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rank_one_pairs(),
+    st.integers(-500, 500),
+    st.integers(-500, 500),
+    st.sampled_from([None, "p", "q", "s"]),
+    st.sampled_from([1e-6, -1e-9, 1e-13]),
+)
+def test_probe_residual_bounds_the_exact_residual(pair, k_a, k_e, wrong, error):
+    # The O(1) bound of a rank-one probe must cover the residual of the
+    # candidate against the probed matrix, for a pair in any power-of-two
+    # scale and for Sherman-Morrison terms off by a relative ``error``: a
+    # wrong term may only cost the certificate, never a wrong verdict.
+    tol = DEFAULT_MONOTONE_TOL
+    a, e = pair
+    pair = buffoni._validated_pair(2.0**k_a * a, 2.0**k_e * e, tol)
+    vstar = buffoni._rank_one_vstar(pair).vstar / pair.unit
+    assume(np.isfinite(vstar))
+    if wrong is not None:
+        term = getattr(pair.rank_one, wrong)
+        pair = pair._replace(rank_one=pair.rank_one._replace(**{wrong: term * (1.0 + error)}))
+    residual = buffoni._search_residual(pair)
+    for k in NEAR_THRESHOLD:
+        v = vstar * k
+        probe = buffoni._perturbed(pair.m, pair.pert, v)
+        rho = buffoni._probe_residual(residual, v).rho
+        assert _mp_residual_norm(probe, buffoni._candidate(pair, v)) <= rho
+    with _certified_verdicts() as decided:
+        for k in NEAR_THRESHOLD:
+            buffoni._checked_inverse(pair, vstar * k, residual)
     for probe, tol, verdict in decided:
         assert bool(verdict) == _mp_monotone(probe, tol)
 
