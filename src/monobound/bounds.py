@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import (
-    DEFAULT_MONOTONE_TOL,
     _irreducible_dominance_rule,
     _m_matrix_rule,
     _monotone_check,
@@ -162,7 +161,7 @@ def sigma_via_determinant(a) -> float:
     """
     m = as_square_matrix(a)
     inverse(m)  # raises SingularMatrix under the one rule
-    scale = _unit_scale(float(np.abs(m).max()))
+    scale = _unit_scale(float(max(m.max(), -m.min())))
     sign, logdet = np.linalg.slogdet(m * scale)
     shifted_sign, shifted_logdet = np.linalg.slogdet(m * scale + 1.0)
     ratio = _signed_exp(float(sign * shifted_sign), float(shifted_logdet - logdet))
@@ -199,7 +198,7 @@ def _preconditions(sigma, m_matrix: bool, kind: str, dominant) -> tuple[bool, st
     return True, f"{kind} diagonally dominant M-matrix"
 
 
-def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
+def main_bound(a) -> BoundResult:
     """Componentwise bound B / (1 - B * S), with B the Buffoni number and S
     the total of the inverse entries.
 
@@ -209,7 +208,7 @@ def main_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
     all-ones.
     """
     stats = inverse_stats(a)
-    return _main_bound(stats, _hypotheses(a, lambda: _monotone_check(stats.inv, tol)))
+    return _main_bound(stats, _hypotheses(a, lambda: _monotone_check(stats.inv)))
 
 
 def _main_bound(stats: InverseStats, hypotheses) -> BoundResult:
@@ -219,12 +218,12 @@ def _main_bound(stats: InverseStats, hypotheses) -> BoundResult:
     return BoundResult(value, "main", "componentwise", ok, detail)
 
 
-def corollary_bound(a, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
+def corollary_bound(a) -> BoundResult:
     """Specialized componentwise bound m / (1 - m * n) from the smallest
     inverse entry alone; for quasi-doubly-stochastic M-matrices it coincides
     with :func:`main_bound`."""
     m = as_square_matrix(a)
-    witness = _monotone_check(inverse(m), tol)
+    witness = _monotone_check(inverse(m))
     return _corollary_bound(m, witness.value, _m_matrix_rule(is_z_matrix(m), lambda: witness))
 
 
@@ -279,7 +278,7 @@ def bouchon_quantities(a, e_pattern) -> BouchonQuantities:
     )
 
 
-def bouchon_bound(a, e_pattern, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
+def bouchon_bound(a, e_pattern) -> BoundResult:
     """Norm bound coefficient * min_i |a_ii| for perturbations supported on
     the given pattern.
 
@@ -290,7 +289,7 @@ def bouchon_bound(a, e_pattern, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResul
     m = as_square_matrix(a)
     e = as_square_matrix(e_pattern)
     quantities = bouchon_quantities(m, e)
-    return _bouchon_bound(m, e, quantities, _hypotheses(m, lambda: is_monotone(m, tol)))
+    return _bouchon_bound(m, e, quantities, _hypotheses(m, lambda: is_monotone(m)))
 
 
 def _bouchon_bound(
@@ -319,7 +318,7 @@ def _signed_exp(sign: float, log_value: float) -> float:
         return sign * math.inf
 
 
-def tridiagonal_bound(a, l: int, k: int, tol: float = DEFAULT_MONOTONE_TOL) -> BoundResult:
+def tridiagonal_bound(a, l: int, k: int) -> BoundResult:
     """Sharp threshold for a single-entry perturbation h at position (l, k)
     of a tridiagonal M-matrix, with |l - k| >= 2 and 0-based indices:
     A + h E_lk stays monotone exactly for h up to the returned value.
@@ -365,11 +364,11 @@ def tridiagonal_bound(a, l: int, k: int, tol: float = DEFAULT_MONOTONE_TOL) -> B
         # A zero chain entry gives 0.0, never -0.0, and no log(0).
         value = 0.0
     else:
-        scale = _unit_scale(float(np.abs(m).max()))
+        scale = _unit_scale(float(max(m.max(), -m.min())))
         sign, logdet = np.linalg.slogdet(block * scale)
         sign = float(sign * np.prod(np.sign(chain)))
         log_chain = float(np.sum(np.log(np.abs(chain * scale))))
         value = max(0.0, _signed_exp(sign, log_chain - float(logdet))) / scale
-    ok = is_m_matrix(m, tol)
+    ok = is_m_matrix(m)
     detail = "tridiagonal M-matrix" if ok else "tridiagonal but not a (nonsingular) M-matrix"
     return BoundResult(value, "tridiagonal", "single-entry", ok, detail)

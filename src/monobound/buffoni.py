@@ -20,7 +20,9 @@ monotone A and an entrywise-nonnegative E.  Both searches run on the pair
 scaled once by powers of two (:func:`_validated_pair`), so the threshold of
 (c A, E) is exactly c times that of (A, E), and that of (A, c E) 1/c times,
 across the float range unless a value is subnormal.  The iteration and
-search settings are the fixed module constants below.
+search settings are the fixed module constants below, and every
+monotonicity verdict, certified or not, reads its inverse with the one fixed
+slack :data:`classify.MONOTONE_RTOL`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import (
-    DEFAULT_MONOTONE_TOL,
+    MONOTONE_RTOL,
     MonotoneCheck,
     _monotone_check,
     _monotone_inverse,
@@ -112,14 +114,13 @@ class _Pair(NamedTuple):
     m: np.ndarray
     pert: np.ndarray
     z: np.ndarray
-    tol: float
     unit: float
     h: float
     cap: float
     rank_one: _RankOne | None
 
 
-def _validated_pair(a, e, tol: float) -> _Pair:
+def _validated_pair(a, e) -> _Pair:
     """Check the pair and return it in unit scale; A must be monotone.
 
     The cap is h * min(V_CAP, 0.5 / (SINGULARITY_RTOL * max|m| * max|z|) - 1):
@@ -148,7 +149,7 @@ def _validated_pair(a, e, tol: float) -> _Pair:
     t = min(max(_unit_scale(float(e.max())), s * 2.0**-1022), s * 2.0**1023)
     unit = t / s
     m = a * s
-    verdict, z = _monotone_inverse(m, tol)
+    verdict, z = _monotone_inverse(m)
     if not verdict:
         raise NotMonotone("base matrix is not monotone")
     pert = e * t
@@ -158,10 +159,10 @@ def _validated_pair(a, e, tol: float) -> _Pair:
     cap = h * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
     cap = min(cap, float(np.finfo(float).max) / unit)
     rank_one = None if factors is None else _rank_one_terms(factors, t, z)
-    return _Pair(m, pert, z, tol, unit, h, cap, rank_one)
+    return _Pair(m, pert, z, unit, h, cap, rank_one)
 
 
-def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
+def buffoni_vstar(a, e) -> BuffoniTrace:
     """Threshold v* by the ratio iteration
     v <- v + min { z_ij / w_ij : w_ij > 0 }, with Z = (A + v E)^-1 and
     W = Z E Z (minus the derivative of Z in v).
@@ -176,8 +177,9 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     increment is at most ``CONVERGENCE_RTOL * v`` (relative, so the search
     scales with the pair; a zero increment at v = 0 converges), and
     :data:`MAX_ITER` iterates at most.
-    A W entry below -1e-10 * max W raises :class:`NotMonotone`: a loose
-    ``tol`` let a non-monotone A through validation.
+    A W entry below -1e-10 * max W raises :class:`NotMonotone`: the
+    slack :data:`classify.MONOTONE_RTOL` let a non-monotone A through
+    validation.
 
     A rank-one E = u w^T (to :data:`RANK_ONE_RTOL`) skips the iteration:
     Sherman-Morrison gives v* exactly from the inverse of A, reported as one
@@ -185,7 +187,7 @@ def buffoni_vstar(a, e, *, tol: float = DEFAULT_MONOTONE_TOL) -> BuffoniTrace:
     M-matrix, A + v E stays one for every v >= 0, and v* = math.inf is
     reported after no step.
     """
-    return _buffoni_from(_validated_pair(a, e, tol))
+    return _buffoni_from(_validated_pair(a, e))
 
 
 def _buffoni_from(pair: _Pair) -> BuffoniTrace:
@@ -306,9 +308,7 @@ def _ratio_iteration(pair: _Pair) -> BuffoniTrace:
             raise SingularIterate(f"iterate at v={v * unit!r} is singular: {exc}") from None
 
 
-def bisection_vstar(
-    a, e, *, abs_tol: float = BISECT_ABS_TOL, tol: float = DEFAULT_MONOTONE_TOL
-) -> float:
+def bisection_vstar(a, e, *, abs_tol: float = BISECT_ABS_TOL) -> float:
     """Independent threshold oracle: double an upper candidate from
     ``max|A| / (n max E)`` until monotonicity fails (returning math.inf once
     past the pair's cap, and at once for a zero E), then narrow the
@@ -333,7 +333,7 @@ def bisection_vstar(
     candidate, so the oracle still never takes the closed form's word for
     v*: a wrong candidate costs an inverse, not a wrong verdict.
     """
-    return _bisect_from(_validated_pair(a, e, tol), 0.0, abs_tol)
+    return _bisect_from(_validated_pair(a, e), 0.0, abs_tol)
 
 
 def _checked_inverse(
@@ -350,12 +350,12 @@ def _checked_inverse(
     general E, it is the inverse of m + v pert, which only then is formed."""
     if residual is not None:
         candidate = _candidate(pair, v)
-        verdict = _certified_verdict(candidate, _probe_residual(residual, v), pair.tol)
+        verdict = _certified_verdict(candidate, _probe_residual(residual, v))
         if verdict is not None:
             return verdict, candidate
         # Freed before the inverse takes its own arrays.
         del candidate
-    return _monotone_inverse(_perturbed(pair.m, pair.pert, v), pair.tol)
+    return _monotone_inverse(_perturbed(pair.m, pair.pert, v))
 
 
 def _candidate(pair: _Pair, v: float) -> np.ndarray:
@@ -420,16 +420,17 @@ def _residual_bound(m: np.ndarray, z: np.ndarray) -> _Residual:
     return _Residual(rho, m_norm, m_max, z_norm)
 
 
-def _certified_verdict(z: np.ndarray, residual: _Residual, tol: float) -> MonotoneCheck | None:
+def _certified_verdict(z: np.ndarray, residual: _Residual) -> MonotoneCheck | None:
     """:func:`classify._monotone_check` of ``z`` when ``residual`` proves it
     is also the verdict on the exact inverse of the matrix M it bounds; None
     otherwise.
 
     With R = I - M z, every entry of M^-1 - z = z R (I - R)^-1 is at most
     delta = ||z|| rho / (1 - rho) in magnitude for any rho >= ||R|| below 1.
-    The minimum entry and tol times the largest magnitude then move by at
-    most (1 + tol) delta from z to M^-1, and the verdict is kept only when
-    its margin value + tol max|z| is larger.  It is also kept only when
+    The minimum entry and the slack MONOTONE_RTOL times the largest
+    magnitude then move by at most (1 + MONOTONE_RTOL) delta from z to M^-1,
+    and the verdict is kept only when its margin value + MONOTONE_RTOL max|z|
+    is larger.  It is also kept only when
     SINGULARITY_RTOL max|M| (max|z| + delta) < 1, so no matrix that
     :func:`linalg.inverse` could refuse gets a certified verdict.
 
@@ -443,11 +444,11 @@ def _certified_verdict(z: np.ndarray, residual: _Residual, tol: float) -> Monoto
         return None
     grow = _grow(z.shape[0])
     delta = grow * residual.z_norm * rho / (1.0 - rho)
-    check = _monotone_check(z, tol)
+    check = _monotone_check(z)
     z_max = max(float(z.max()), -check.value)
-    slack = tol * z_max
+    slack = MONOTONE_RTOL * z_max
     margin = abs(check.value + slack)
-    bound = grow * ((1.0 + tol) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * _UNDERFLOW
+    bound = grow * ((1.0 + MONOTONE_RTOL) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * _UNDERFLOW
     regular = grow * SINGULARITY_RTOL * residual.m_max * (z_max + delta) < 1.0
     return check if margin > bound and regular else None
 
@@ -605,7 +606,7 @@ def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
         if not lo < mid < hi:
             break
         reach *= 0.5
-        v = _itp_point(lo, hi, last[True], last[False], pair.tol, width, reach)
+        v = _itp_point(lo, hi, last[True], last[False], width, reach)
         if not lo < v < hi:
             v = mid
         if monotone_at(v):
@@ -620,7 +621,6 @@ def _itp_point(
     hi: float,
     z_lo: np.ndarray,
     z_hi: np.ndarray | None,
-    tol: float,
     width: float,
     reach: float,
 ) -> float:
@@ -630,7 +630,7 @@ def _itp_point(
 
     The interpolant is the earliest v at which some entry, interpolated
     linearly between the inverses at ``lo`` and ``hi``, crosses the tolerant
-    floor -tol * max|Z| (itself interpolated); it is moved towards the
+    floor -MONOTONE_RTOL * max|Z| (itself interpolated); it is moved towards the
     midpoint by kappa1 * (hi - lo)^kappa2 and then kept close enough to it
     that the bracket it leaves is at most ``reach`` wide.  A singular ``hi``
     (no inverse) gives the midpoint.
@@ -638,8 +638,8 @@ def _itp_point(
     mid = 0.5 * (lo + hi)
     if z_hi is None:
         return mid
-    floor_lo = tol * float(max(z_lo.max(), -z_lo.min()))
-    floor_hi = tol * float(max(z_hi.max(), -z_hi.min()))
+    floor_lo = MONOTONE_RTOL * float(max(z_lo.max(), -z_lo.min()))
+    floor_hi = MONOTONE_RTOL * float(max(z_hi.max(), -z_hi.min()))
     # z_hi + floor_hi rounds below 0 exactly when z_hi < -floor_hi, so only
     # the crossing entries are shifted.  A monotone lo keeps every shifted
     # entry at lo >= 0 and a failing hi puts some shifted entry at hi < 0,

@@ -1,8 +1,9 @@
 """Structural matrix predicates: sign pattern, diagonal dominance,
 irreducibility, monotonicity (nonnegative inverse), and two
 sufficient-condition certificates for monotonicity.  Irreducibility reads
-the sparsity graph of the exact nonzeros; both certificates test
-monotonicity with the default slack."""
+the sparsity graph of the exact nonzeros.  Every monotonicity verdict,
+both certificates' included, reads the inverse with the one fixed slack
+:data:`MONOTONE_RTOL`."""
 
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from .errors import (
 from .graphdist import _offdiag_mask, _reach_powers
 from .linalg import _window_scale, as_square_matrix, inverse
 
-#: Default slack for inverse nonnegativity: entries down to
-#: -tol * max|inverse entry| still count as nonnegative.
-DEFAULT_MONOTONE_TOL = 1e-10
+#: Slack for inverse nonnegativity: entries down to
+#: -MONOTONE_RTOL * max|inverse entry| still count as nonnegative.
+MONOTONE_RTOL = 1e-10
 
 #: Absolute slack on row/column sums for the doubly-stochastic test.
 DEFAULT_QDS_TOL = 1e-8
@@ -47,32 +48,32 @@ class MonotoneCheck:
         return self.monotone
 
 
-def is_monotone(a, tol: float = DEFAULT_MONOTONE_TOL) -> MonotoneCheck:
+def is_monotone(a) -> MonotoneCheck:
     """Check that the inverse exists and is entrywise nonnegative.
 
-    Small negative entries down to ``-tol * max|inverse entry|`` are
-    attributed to roundoff and accepted; a singular matrix is reported as
-    non-monotone with ``singular=True``.
+    Small negative entries down to ``-MONOTONE_RTOL * max|inverse entry|``
+    are attributed to roundoff and accepted; a singular matrix is reported
+    as non-monotone with ``singular=True``.
     """
-    return _monotone_inverse(a, tol)[0]
+    return _monotone_inverse(a)[0]
 
 
-def _monotone_inverse(a, tol: float) -> tuple[MonotoneCheck, np.ndarray | None]:
+def _monotone_inverse(a) -> tuple[MonotoneCheck, np.ndarray | None]:
     """:func:`is_monotone` of ``a`` together with the inverse it tested;
     None in place of the inverse when ``a`` is singular."""
     try:
         inv = inverse(a)
     except SingularMatrix:
         return MonotoneCheck(monotone=False, location=None, value=None, singular=True), None
-    return _monotone_check(inv, tol), inv
+    return _monotone_check(inv), inv
 
 
-def _monotone_check(inv: np.ndarray, tol: float) -> MonotoneCheck:
+def _monotone_check(inv: np.ndarray) -> MonotoneCheck:
     """Core of :func:`is_monotone` for an already computed inverse."""
     flat = int(np.argmin(inv))
     location = (flat // inv.shape[0], flat % inv.shape[0])
     value = float(inv[location])
-    slack = tol * float(max(inv.max(), -inv.min()))
+    slack = MONOTONE_RTOL * max(float(inv.max()), -value)
     return MonotoneCheck(monotone=value >= -slack, location=location, value=value)
 
 
@@ -107,9 +108,9 @@ def is_z_matrix(a) -> bool:
     return int(np.count_nonzero(m > 0.0)) == int(np.count_nonzero(np.diagonal(m) > 0.0))
 
 
-def is_m_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> bool:
+def is_m_matrix(a) -> bool:
     """Nonsingular M-matrix test: Z sign pattern plus a nonnegative inverse."""
-    return _m_matrix_rule(is_z_matrix(a), lambda: is_monotone(a, tol))
+    return _m_matrix_rule(is_z_matrix(a), lambda: is_monotone(a))
 
 
 def _m_matrix_rule(z_matrix: bool, monotone) -> bool:
@@ -182,14 +183,14 @@ def gavrilov_check(a, order: int) -> bool:
     given order proves monotonicity.
 
     Enumerates all C(n, order) principal submatrices, which is fine for n up
-    to roughly a dozen.  Raises :class:`NotSymmetric` when A deviates from
-    symmetry by more than 1e-12 and :class:`OrderOutOfRange` unless
-    2 <= order < n.
+    to roughly a dozen.  Raises :class:`NotSymmetric` when
+    max|A - A^T| > 1e-12 max|A| (relative, so the verdict on c A is that on
+    A) and :class:`OrderOutOfRange` unless 2 <= order < n.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
-    if float(np.max(np.abs(m - m.T))) > 1e-12:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    if float(np.max(np.abs(m - m.T))) > 1e-12 * float(max(m.max(), -m.min())):
+        raise NotSymmetric("matrix is not symmetric within 1e-12 of max|A|")
     if not 2 <= order < n:
         raise OrderOutOfRange(f"order must satisfy 2 <= order < {n}, got {order}")
     try:
@@ -221,14 +222,14 @@ class ClassificationReport:
     monotone_witness: MonotoneCheck
 
 
-def classify_matrix(a, tol: float = DEFAULT_MONOTONE_TOL) -> ClassificationReport:
+def classify_matrix(a) -> ClassificationReport:
     """Evaluate every structure predicate on one matrix.
 
     Raises :class:`ZeroDiagonal` when dominance ratios are undefined.
     """
     m = as_square_matrix(a)
     sigma = sigma_vector(m)
-    witness = is_monotone(m, tol)
+    witness = is_monotone(m)
     irreducible = is_irreducible(m)
     z_matrix = is_z_matrix(m)
     return ClassificationReport(

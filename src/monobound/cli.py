@@ -37,7 +37,6 @@ from .buffoni import (
     _validated_pair,
 )
 from .classify import (
-    DEFAULT_MONOTONE_TOL,
     ClassificationReport,
     MonotoneCheck,
     _monotone_check,
@@ -110,7 +109,7 @@ def _bound_dict(result: BoundResult) -> dict:
 
 def _cmd_classify(args) -> dict:
     matrix = read_matrix(args.matrix)
-    report = classify_matrix(matrix, tol=args.tol)
+    report = classify_matrix(matrix)
     return {
         "schema": SCHEMA,
         "command": "classify",
@@ -122,7 +121,7 @@ def _cmd_bounds(args) -> dict:
     # One inverse and one set of hypotheses serve the statistics and every bound.
     matrix = read_matrix(args.matrix)
     stats = inverse_stats(matrix)
-    witness = _monotone_check(stats.inv, args.tol)
+    witness = _monotone_check(stats.inv)
     hypotheses = _hypotheses(matrix, lambda: witness)
     results = []
     doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats, witness)}
@@ -147,7 +146,7 @@ def _cmd_bounds(args) -> dict:
 def _cmd_vstar(args) -> dict:
     # One validated pair, with its inverse of A, cap and rank-one terms,
     # serves every method.
-    pair = _validated_pair(read_matrix(args.matrix), read_matrix(args.perturbation), args.tol)
+    pair = _validated_pair(read_matrix(args.matrix), read_matrix(args.perturbation))
     section: dict = {"method": args.method}
     seed = 0.0
     if args.method in ("buffoni", "both"):
@@ -177,7 +176,7 @@ def _cmd_vstar(args) -> dict:
 
 def _cmd_tridiag(args) -> dict:
     matrix = read_matrix(args.matrix)
-    result = tridiagonal_bound(matrix, args.l - 1, args.k - 1, tol=args.tol)
+    result = tridiagonal_bound(matrix, args.l - 1, args.k - 1)
     return {
         "schema": SCHEMA,
         "command": "tridiag",
@@ -288,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--plain", action="store_true", help="human-readable output instead of JSON"
     )
-    matrix = argparse.ArgumentParser(add_help=False, parents=[common])
-    matrix.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_MONOTONE_TOL,
-        help="monotonicity tolerance, relative to the largest inverse entry (default %(default)s)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="monobound",
@@ -302,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[matrix], help="structure flags and dominance ratios")
+    p = sub.add_parser("classify", parents=[common], help="structure flags and dominance ratios")
     p.add_argument("matrix", help="matrix file (dense or coordinate text)")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("bounds", parents=[matrix], help="closed-form perturbation bounds")
+    p = sub.add_parser("bounds", parents=[common], help="closed-form perturbation bounds")
     p.add_argument("matrix", help="matrix file")
     p.add_argument(
         "--pattern",
@@ -319,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("vstar", parents=[matrix], help="exact threshold for a fixed perturbation")
+    p = sub.add_parser("vstar", parents=[common], help="exact threshold for a fixed perturbation")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("perturbation", help="perturbation matrix file (entrywise nonnegative)")
     p.add_argument("--method", choices=("buffoni", "bisect", "both"), default="buffoni")
     p.set_defaults(handler=_cmd_vstar)
 
     p = sub.add_parser(
-        "tridiag", parents=[matrix], help="sharp single-entry bound for tridiagonal M-matrices"
+        "tridiag", parents=[common], help="sharp single-entry bound for tridiagonal M-matrices"
     )
     p.add_argument("matrix", help="tridiagonal matrix file")
     p.add_argument("l", type=int, help="row of the perturbed entry (1-based)")

@@ -1,10 +1,17 @@
-"""Shared fixtures: the worked 3x3 example and seeded random generators."""
+"""Shared fixtures: the worked 3x3 example, seeded random generators, and
+the 50-digit judge of two threshold searches."""
 
 from __future__ import annotations
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from monobound.buffoni import BISECT_ABS_TOL
+from monobound.classify import MONOTONE_RTOL
 
 # `--hypothesis-profile ci` keeps no example database, so a run under a fixed
 # `--hypothesis-seed` draws the same examples wherever it runs.
@@ -143,3 +150,85 @@ INFINITE_THRESHOLD_PAIRS = {
         np.diag([1.0, 2.0, 0.0]),
     ),
 }
+
+
+# A = Z^-1 rounded to floats, for Z = [[1, -5e-11], [0.05, 1e-4]]: its
+# smallest inverse entry, -5e-11 of the largest, lies inside the slack
+# MONOTONE_RTOL, so A passes validation although it is not monotone.  For
+# E = e2 e2^T (rank one, the closed form) and E = diag(1e-6, 1) (the
+# iteration), W = Z E Z has an entry at -5e-7 and -1e-9 of max W, below the
+# -1e-10 that a monotone iterate can give.  (With 0.5 in place of 0.05, the
+# second would sit exactly on -1e-10 and raise only by roundoff.)
+NOT_MONOTONE_WITHIN_SLACK = np.linalg.inv(np.array([[1.0, -5e-11], [0.05, 1e-4]]))
+
+#: Entries of a 50-digit inverse within this of max|Z| are its roundoff
+#: (an exact zero of Z computes as about 1e-50 max|Z|), so they count as 0.
+_ROUNDOFF_50 = 1e-40
+
+
+def _smallest_over_largest(a, e, v):
+    """min Z / max|Z| for Z the inverse of A + v E (as formed in floats), by
+    Gauss-Jordan elimination with partial pivoting in 50-digit decimal
+    arithmetic.  The decimal module runs in C: on n <= 15 this is about ten
+    times faster than mpmath's inverse, and the tridiagonal sweep of
+    test_acceptance.py calls it some two thousand times."""
+    m = a + v * e
+    n = m.shape[0]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rows = [
+            [Decimal(x) for x in row] + [Decimal(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m.tolist())
+        ]
+        for c in range(n):
+            p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+            rows[c], rows[p] = rows[p], rows[c]
+            pivot = [x / rows[c][c] for x in rows[c]]
+            rows = [
+                pivot if r == c else [x - row[c] * y for x, y in zip(row, pivot)]
+                for r, row in enumerate(rows)
+            ]
+        entries = [x for row in rows for x in row[n:]]
+        return min(entries) / max(abs(x) for x in entries)
+
+
+def threshold_mismatch(a, e, exact, tolerant, eps=1e-6, floor=1.0):
+    """None when both thresholds of (A, E) are right, otherwise what is wrong.
+
+    ``exact`` claims v* = sup { v >= 0 : (A + v E)^-1 >= 0 } (buffoni_vstar,
+    or a closed form); ``tolerant`` claims the same sup for the predicate
+    with the slack MONOTONE_RTOL (bisection_vstar).  Infinite values must be
+    equal, and finite ones within eps * max(exact, floor) agree.  A larger
+    gap can be right: the slack moves the tolerant threshold by about
+    MONOTONE_RTOL max|Z| over the rate at which the crossing entry falls,
+    far more than eps v where that entry is small against max|Z|.  Each
+    value is then judged against its own definition with a 50-digit inverse
+    of A + v E.  The monotone set of v is an interval (Kuttler's theorem),
+    so two probes bracket each threshold: min Z >= 0 at exact (1 - eps) and
+    < 0 at exact (1 + eps), up to the inverse's own roundoff; and
+    min Z >= -MONOTONE_RTOL max|Z| at tolerant - m and below it at
+    tolerant + m, with m = max(eps tolerant, 2 BISECT_ABS_TOL).
+    """
+    if math.isinf(exact) or math.isinf(tolerant):
+        if exact == tolerant:
+            return None
+        return f"exact {exact!r} and tolerant {tolerant!r} differ"
+    if abs(exact - tolerant) <= eps * max(exact, floor):
+        return None
+    wrong = []
+    below, above = exact * (1.0 - eps), exact * (1.0 + eps)
+    at_below, at_above = (_smallest_over_largest(a, e, v) for v in (below, above))
+    if not (at_below >= -_ROUNDOFF_50 and at_above < -_ROUNDOFF_50):
+        wrong.append(
+            f"exact {exact!r} is wrong: min Z / max|Z| is {float(at_below):.3e} at "
+            f"{below!r} and {float(at_above):.3e} at {above!r}"
+        )
+    m = max(eps * tolerant, 2.0 * BISECT_ABS_TOL)
+    below, above = max(tolerant - m, 0.0), tolerant + m
+    at_below, at_above = (_smallest_over_largest(a, e, v) for v in (below, above))
+    if not (at_below >= -MONOTONE_RTOL and at_above < -MONOTONE_RTOL):
+        wrong.append(
+            f"tolerant {tolerant!r} is wrong: min Z / max|Z| is {float(at_below):.3e} at "
+            f"{below!r} and {float(at_above):.3e} at {above!r}"
+        )
+    return "; ".join(wrong) or None

@@ -18,6 +18,7 @@ from conftest import (
     random_symmetric_sdd_m_matrix,
     random_tridiagonal_m_matrix,
     random_well_conditioned,
+    threshold_mismatch,
 )
 
 from monobound import (
@@ -196,10 +197,11 @@ def test_criterion_08_tridiagonal_sharpness():
                 e = _unit(n, l, k)
                 if not is_monotone(a + h * e) or is_monotone(a + 1.001 * h * e):
                     boundary_breaks += 1
-                # shrink the monotonicity slack so the oracle resolves the
-                # threshold finer than the 1e-8 comparison
-                oracle = bisection_vstar(a, e, abs_tol=1e-9 * h, tol=1e-13)
-                if abs(oracle - h) > 1e-8 * h:
+                # Where the slack moves the oracle's tolerant threshold more
+                # than 1e-8 h past h, a 50-digit inverse judges each, to 1e-8,
+                # against its own definition.
+                oracle = bisection_vstar(a, e, abs_tol=1e-9 * h)
+                if threshold_mismatch(a, e, h, oracle, eps=1e-8, floor=0.0):
                     mismatches += 1
     failures = []
     if mismatches:

@@ -6,18 +6,7 @@ import inspect
 import monobound
 
 # Public function -> its parameters that have a default value.
-KEYWORD_PARAMETERS = {
-    "bisection_vstar": ["abs_tol", "tol"],
-    "bouchon_bound": ["tol"],
-    "buffoni_vstar": ["tol"],
-    "classify_matrix": ["tol"],
-    "corollary_bound": ["tol"],
-    "is_m_matrix": ["tol"],
-    "is_monotone": ["tol"],
-    "main_bound": ["tol"],
-    "parse_matrix": ["name"],
-    "tridiagonal_bound": ["tol"],
-}
+KEYWORD_PARAMETERS = {"bisection_vstar": ["abs_tol"], "parse_matrix": ["name"]}
 
 
 def test_public_keyword_parameters_are_pinned():

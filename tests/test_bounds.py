@@ -11,6 +11,7 @@ from conftest import (
     random_sdd_m_matrix,
     random_tridiagonal_m_matrix,
     random_well_conditioned,
+    threshold_mismatch,
 )
 
 from monobound import (
@@ -289,10 +290,12 @@ def test_tridiagonal_against_bisection_oracle():
         h = tridiagonal_bound(a, l, k).value
         e = np.zeros((5, 5))
         e[l, k] = 1.0
-        # tighten the monotonicity slack so the oracle can localize the
-        # threshold below the comparison tolerance
-        oracle = bisection_vstar(a, e, abs_tol=1e-10 * h, tol=1e-13)
-        assert h == pytest.approx(oracle, rel=1e-8)
+        # The oracle finds the threshold of the tolerant predicate, which the
+        # slack can move more than 1e-8 h past h; then a 50-digit inverse
+        # must find each exact to 1e-8 of its own definition.
+        oracle = bisection_vstar(a, e, abs_tol=1e-10 * h)
+        mismatch = threshold_mismatch(a, e, h, oracle, eps=1e-8, floor=0.0)
+        assert mismatch is None, mismatch
 
 
 def test_tridiagonal_matches_buffoni_on_single_entries():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import (
     INFINITE_THRESHOLD_PAIRS,
+    NOT_MONOTONE_WITHIN_SLACK,
     SAMPLE_A,
     SAMPLE_A_VSTAR_UNIFORM,
     random_nonneg_perturbation,
@@ -29,7 +30,7 @@ from monobound import (
     main_bound,
     tridiagonal_bound,
 )
-from monobound.classify import DEFAULT_MONOTONE_TOL, MonotoneCheck, _monotone_check
+from monobound.classify import MONOTONE_RTOL, MonotoneCheck, _monotone_check
 from monobound.linalg import SINGULARITY_RTOL, _unit_scale
 
 
@@ -42,7 +43,7 @@ def _unit(n, i, j):
 def _iterate(a, e):
     """The ratio iteration alone, the reference for pairs that
     buffoni_vstar solves in closed form."""
-    return buffoni._ratio_iteration(buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL))
+    return buffoni._ratio_iteration(buffoni._validated_pair(a, e))
 
 
 def test_single_entry_12(sample_a):
@@ -98,12 +99,12 @@ def probes(monkeypatch):
     return seen
 
 
-def _reference_search(a, e, seed, abs_tol, tol):
+def _reference_search(a, e, seed, abs_tol):
     """Reference for the threshold search: the same bracket expansion as
     buffoni._bisect_from, narrowed by plain midpoint bisection, in the
     caller's units (the pair's scale h and cap times its unit).  Returns
     (value, number of probes)."""
-    pair = buffoni._validated_pair(a, e, tol)
+    pair = buffoni._validated_pair(a, e)
     if np.isinf(pair.h):
         return np.inf, 0
     h, cap = pair.h * pair.unit, pair.cap * pair.unit
@@ -112,7 +113,7 @@ def _reference_search(a, e, seed, abs_tol, tol):
     def monotone_at(v):
         nonlocal count
         count += 1
-        return bool(is_monotone(a + v * e, tol))
+        return bool(is_monotone(a + v * e))
 
     if 0.0 < seed < np.inf:
         step = abs_tol
@@ -158,7 +159,7 @@ def test_zero_perturbation_is_infinite(sample_a, probes):
     trace = buffoni_vstar(sample_a, zero)
     assert trace.status == "diverged_infinite"
     assert bisection_vstar(sample_a, zero) == np.inf
-    pair = buffoni._validated_pair(sample_a, zero, DEFAULT_MONOTONE_TOL)
+    pair = buffoni._validated_pair(sample_a, zero)
     assert buffoni._bisect_from(pair, np.inf, 1e-9) == np.inf
     assert not probes
 
@@ -182,25 +183,24 @@ def test_validation_errors(sample_a):
 
 
 def test_negative_ratio_denominator_is_not_monotone():
-    # tol=0.5 lets this non-monotone A through validation; W = Z E Z then
+    # The slack lets this non-monotone A through validation; W = Z E Z then
     # has negative entries, which a monotone iterate cannot give.
-    a = np.array([[1.0, 0.3], [0.2, 1.0]])
     with pytest.raises(NotMonotone):
-        buffoni_vstar(a, _unit(2, 0, 0), tol=0.5)
+        buffoni_vstar(NOT_MONOTONE_WITHIN_SLACK, _unit(2, 1, 1))
 
 
 def test_negative_ratio_denominator_floor_is_scale_free():
-    # Scaling A by 2^20 scales W by 2^-40; the verdict must not change.
-    a = 2.0**20 * np.array([[1.0, 0.3], [0.2, 1.0]])
-    with pytest.raises(NotMonotone):
-        buffoni_vstar(a, _unit(2, 0, 0), tol=0.5)
+    # Scaling A by 2^+-20 scales W by 2^-+40; the verdict must not change.
+    for scale in (2.0**20, 2.0**-20):
+        with pytest.raises(NotMonotone):
+            buffoni_vstar(scale * NOT_MONOTONE_WITHIN_SLACK, _unit(2, 1, 1))
 
 
 def test_negative_ratio_denominator_in_the_iteration():
-    # E_11 above is rank one and takes the closed form; E = I is rank two.
-    for scale in (1.0, 2.0**20):
+    # E_22 above is rank one and takes the closed form; this E is rank two.
+    for scale in (1.0, 2.0**20, 2.0**-20):
         with pytest.raises(NotMonotone):
-            buffoni_vstar(scale * np.array([[1.0, 0.3], [0.2, 1.0]]), np.eye(2), tol=0.5)
+            buffoni_vstar(scale * NOT_MONOTONE_WITHIN_SLACK, np.diag([1e-6, 1.0]))
 
 
 def test_bisection_matches_iteration(sample_a):
@@ -220,31 +220,31 @@ def test_bisection_stops_at_float_spacing(sample_a, probes):
 
 
 def _search_pairs():
-    """(A, E, abs_tol, tol): full-rank E with n = 2..30, rank-one E, and
-    single-entry tridiagonal pairs with criterion 8's settings."""
+    """(A, E, abs_tol): full-rank E with n = 2..30, rank-one E, and
+    single-entry tridiagonal pairs with criterion 8's width."""
     rng = np.random.default_rng(101)
     pairs = []
     for n in np.linspace(2, 30, 12).astype(int):
         a, e = random_sdd_m_matrix(rng, int(n)), random_nonneg_perturbation(rng, int(n))
-        pairs.append((a, e, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL))
+        pairs.append((a, e, buffoni.BISECT_ABS_TOL))
     for a, e in _rank_one_pairs(6, 103):
-        pairs.append((a, e, buffoni.BISECT_ABS_TOL, DEFAULT_MONOTONE_TOL))
+        pairs.append((a, e, buffoni.BISECT_ABS_TOL))
     for _ in range(6):
         n = int(rng.integers(4, 12))
         a = random_tridiagonal_m_matrix(rng, n)
         l, k = (int(x) for x in rng.choice(n, 2, replace=False))
         while abs(l - k) < 2:
             l, k = (int(x) for x in rng.choice(n, 2, replace=False))
-        pairs.append((a, _unit(n, l, k), 1e-9 * tridiagonal_bound(a, l, k).value, 1e-13))
+        pairs.append((a, _unit(n, l, k), 1e-9 * tridiagonal_bound(a, l, k).value))
     return pairs
 
 
-def _check_search(a, e, abs_tol, tol, probes):
+def _check_search(a, e, abs_tol, probes):
     """Run bisection_vstar on the pair and check it against the reference
     search; return (its result, its probes, the reference's probes)."""
     probes.clear()
-    got = bisection_vstar(a, e, abs_tol=abs_tol, tol=tol)
-    want, reference = _reference_search(a, e, 0.0, abs_tol, tol)
+    got = bisection_vstar(a, e, abs_tol=abs_tol)
+    want, reference = _reference_search(a, e, 0.0, abs_tol)
     assert len(probes) <= reference + 1
     if np.isinf(want):
         assert got == np.inf
@@ -252,7 +252,7 @@ def _check_search(a, e, abs_tol, tol, probes):
         assert abs(got - want) <= abs_tol
         lo, hi = _final_bracket(probes)
         assert hi - lo <= abs_tol * (1 + 1e-6)
-        assert is_monotone(a + lo * e, tol) and not is_monotone(a + hi * e, tol)
+        assert is_monotone(a + lo * e) and not is_monotone(a + hi * e)
         assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15 * hi)
     return got, len(probes), reference
 
@@ -264,9 +264,9 @@ def test_search_takes_at_most_one_probe_beyond_bisection(probes):
     # Scaling the pair by 2^20 or 2^-20 leaves v* and every verdict as they
     # are, so the interpolation must not depend on the scale either.
     total = reference_total = checked = 0
-    for a, e, abs_tol, tol in _search_pairs():
+    for a, e, abs_tol in _search_pairs():
         counts = {
-            scale: _check_search(scale * a, scale * e, abs_tol, tol, probes)[1:]
+            scale: _check_search(scale * a, scale * e, abs_tol, probes)[1:]
             for scale in (1.0, 2.0**20, 2.0**-20)
         }
         assert len(set(counts.values())) == 1
@@ -284,11 +284,11 @@ def test_search_bound_holds_when_only_a_is_scaled(probes):
     # square of a bracket in the caller's units would overflow or underflow:
     # the result is c times the unscaled one with the same probe count, still
     # at most one probe more than plain bisection.
-    for a, e, abs_tol, tol in _search_pairs():
-        value, count, _ = _check_search(a, e, abs_tol, tol, probes)
+    for a, e, abs_tol in _search_pairs():
+        value, count, _ = _check_search(a, e, abs_tol, probes)
         for k in (20, -20, 40, -40, 600, -600, 1000, -1000):
             scale = 2.0**k
-            got, taken, _ = _check_search(scale * a, e, scale * abs_tol, tol, probes)
+            got, taken, _ = _check_search(scale * a, e, scale * abs_tol, probes)
             assert (got, taken) == (scale * value, count)
 
 
@@ -322,7 +322,7 @@ def test_cap_keeps_half_the_singularity_budget():
     # max|A| * max|A^-1| = 1 / 3e-14 uses two thirds of the rule's 1e14, so
     # the cap falls from 1e12 to 0.5: past it A + v E could be refused.
     def cap(a):
-        pair = buffoni._validated_pair(a, _unit(2, 0, 1), DEFAULT_MONOTONE_TOL)
+        pair = buffoni._validated_pair(a, _unit(2, 0, 1))
         return pair.cap * pair.unit
 
     a = np.array([[1.0, -1.0], [0.0, 3e-14]])
@@ -484,13 +484,13 @@ def test_seeded_bisection_brackets_the_threshold(pair, seed, probes):
     if seed == "just_above":
         assert not is_monotone(a + start * e)  # the search has to step down
     probes.clear()
-    got = buffoni._bisect_from(buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL), start, abs_tol)
+    got = buffoni._bisect_from(buffoni._validated_pair(a, e), start, abs_tol)
     assert abs(got - unseeded) <= abs_tol
     lo, hi = _final_bracket(probes)
     assert hi - lo <= abs_tol * (1 + 1e-6)
     assert is_monotone(a + lo * e) and not is_monotone(a + hi * e)
     assert got == pytest.approx(0.5 * (lo + hi), abs=1e-15)
-    _, reference = _reference_search(a, e, start, abs_tol, DEFAULT_MONOTONE_TOL)
+    _, reference = _reference_search(a, e, start, abs_tol)
     assert len(probes) <= reference + 1
     if seed in ("exact", "just_above"):
         assert len(probes) <= 5  # a good seed saves most of the unseeded search's probes
@@ -503,7 +503,7 @@ def test_exact_seed_takes_two_probes(sample_a, scale, probes):
     e = scale * np.ones((3, 3))
     exact = buffoni_vstar(sample_a, e).vstar
     probes.clear()
-    pair = buffoni._validated_pair(sample_a, e, DEFAULT_MONOTONE_TOL)
+    pair = buffoni._validated_pair(sample_a, e)
     got = buffoni._bisect_from(pair, exact, buffoni.BISECT_ABS_TOL)
     assert [bool(verdict) for _, verdict in probes] == [True, False]
     assert got == 0.5 * (exact + (exact + buffoni.BISECT_ABS_TOL))
@@ -606,7 +606,7 @@ def test_subnormal_rank_one_perturbation_takes_the_iteration(sample_a, k):
     # iteration, which agrees with the bisection.
     rng = np.random.default_rng(3)
     a, e = 2.0**-1000 * sample_a, 2.0**k * np.outer(rng.uniform(0.1, 2.0, 3), rng.uniform(0.1, 2.0, 3))
-    assert buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL).rank_one is None
+    assert buffoni._validated_pair(a, e).rank_one is None
     scale = 2.0 ** (-1000 - k)
     exact = buffoni_vstar(a, e).vstar / scale
     assert exact == pytest.approx(bisection_vstar(a, e, abs_tol=1e-9 * scale) / scale, rel=1e-8)
@@ -618,7 +618,7 @@ def _rank_one_sample(n, seed):
     rng = np.random.default_rng(seed)
     a = random_sdd_m_matrix(rng, n)
     e = np.outer(rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n))
-    pair = buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL)
+    pair = buffoni._validated_pair(a, e)
     vstar = buffoni._buffoni_from(pair).vstar / pair.unit
     assert math.isfinite(vstar)
     return a, e, pair, vstar
@@ -677,14 +677,14 @@ def test_threshold_search_working_set(stage, budget, monkeypatch):
         "certified probe": lambda: buffoni._checked_inverse(pair, vstar, residual),
         "rank-one terms": lambda: buffoni._rank_one_terms(buffoni._rank_one_factors(e), t, pair.z),
         "closed form": lambda: buffoni._buffoni_from(pair),
-        "validated pair": lambda: buffoni._validated_pair(a, e, DEFAULT_MONOTONE_TOL),
+        "validated pair": lambda: buffoni._validated_pair(a, e),
         "seeded search": lambda: buffoni._bisect_from(pair, vstar * pair.unit, abs_tol),
         "unseeded search": lambda: buffoni._bisect_from(pair, 0.0, abs_tol),
     }[stage]
     assert _peak_arrays(run, n) <= budget + 0.1
 
 
-def _reference_certified_check(m, z, tol):
+def _reference_certified_check(m, z):
     """Reference for the certificate of ``z`` as an inverse of ``m`` from one
     residual product (buffoni._residual_bound, then buffoni._certified_verdict):
     the same certificate with a fresh array for each of the residual, |m| and
@@ -704,10 +704,10 @@ def _reference_certified_check(m, z, tol):
         return None
     delta = grow * z_norm * rho / (1.0 - rho)
     z_max = float(abs_z.max())
-    check = _monotone_check(z, tol)
-    slack = tol * z_max
+    check = _monotone_check(z)
+    slack = MONOTONE_RTOL * z_max
     margin = abs(check.value + slack)
-    bound = grow * ((1.0 + tol) * delta + buffoni._UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
+    bound = grow * ((1.0 + MONOTONE_RTOL) * delta + buffoni._UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
     regular = grow * SINGULARITY_RTOL * float(abs_m.max()) * (z_max + delta) < 1.0
     return check if margin > bound and regular else None
 
@@ -728,7 +728,7 @@ def _candidate_probes():
             with np.errstate(all="ignore"):
                 cases.append((m + v * pert, z - np.outer(p * v / (1.0 + v * s), q)))
     assert any(not np.isfinite(z).all() for _, z in cases)
-    cases.append((np.eye(2), np.array([[1.0, -DEFAULT_MONOTONE_TOL], [0.0, 1.0]])))
+    cases.append((np.eye(2), np.array([[1.0, -MONOTONE_RTOL], [0.0, 1.0]])))
     cases.append((np.diag([1.0, 1e-14]), np.diag([1.0, 1e14])))
     # max|m| and max|z| far apart: the singularity rule must read max|m|.
     cases.append((1e-7 * np.eye(3), 1e7 * np.eye(3)))
@@ -736,11 +736,10 @@ def _candidate_probes():
 
 
 def test_certificate_matches_its_reference():
-    tol = DEFAULT_MONOTONE_TOL
     decided = declined = 0
     for m, z in _candidate_probes():
-        got = buffoni._certified_verdict(z, buffoni._residual_bound(m, z), tol)
-        assert got == _reference_certified_check(m, z, tol)
+        got = buffoni._certified_verdict(z, buffoni._residual_bound(m, z))
+        assert got == _reference_certified_check(m, z)
         assert got is None or isinstance(got, MonotoneCheck)
         decided += got is not None
         declined += got is None

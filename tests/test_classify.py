@@ -187,6 +187,25 @@ def test_gavrilov_rejects_asymmetric(sample_a):
         gavrilov_check(sample_a, 2)
 
 
+def test_gavrilov_rejects_asymmetric_at_every_scale():
+    # B is not monotone: its smallest inverse entry is -4.  An absolute 1e-12
+    # symmetry test let 2^-45 B through, and the certificate returned a
+    # false proof.
+    b = np.array([[1.0, -2.0, 0.0], [0.0, 1.0, -2.0], [-0.5, 0.0, 1.0]])
+    assert not is_monotone(b)
+    for k in (0, -40, -45):
+        with pytest.raises(NotSymmetric):
+            gavrilov_check(2.0**k * b, 2)
+
+
+def test_gavrilov_accepts_one_ulp_of_asymmetry_at_every_scale():
+    # An absolute 1e-12 symmetry test rejected this matrix at 2^40.
+    a = 2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    a[0, 1] = np.nextafter(-1.0, 0.0)
+    for k in (0, 40):
+        assert gavrilov_check(2.0**k * a, 2)
+
+
 def test_gavrilov_order_range():
     a = np.eye(4)
     with pytest.raises(OrderOutOfRange):

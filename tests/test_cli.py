@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import (
     INFINITE_THRESHOLD_PAIRS,
+    NOT_MONOTONE_WITHIN_SLACK,
     SAMPLE_A,
     SAMPLE_A_VSTAR_UNIFORM,
     random_nonneg_perturbation,
@@ -428,11 +429,13 @@ def test_vstar_negative_perturbation(capsys, sample_file, tmp_path):
 
 
 def test_vstar_loose_tol_non_monotone(capsys, tmp_path):
+    # The slack lets this non-monotone A through validation; the ratio
+    # iteration's check on W = Z E Z then stops it.
     a = tmp_path / "a.txt"
-    a.write_text("2\n1 0.3\n0.2 1\n")
+    a.write_text(format_dense(NOT_MONOTONE_WITHIN_SLACK))
     e = tmp_path / "e.txt"
-    e.write_text("2 1\n1 1 1.0\n")
-    rc, out, err = run(capsys, ["vstar", str(a), str(e), "--tol", "0.5"])
+    e.write_text("2 1\n2 2 1.0\n")
+    rc, out, err = run(capsys, ["vstar", str(a), str(e)])
     assert rc == 3
     assert out == ""
     assert "not monotone" in err
@@ -440,13 +443,14 @@ def test_vstar_loose_tol_non_monotone(capsys, tmp_path):
 
 def test_vstar_loose_tol_non_monotone_scaled(capsys, tmp_path):
     a = tmp_path / "a.txt"
-    a.write_text(format_dense(2.0**20 * np.array([[1.0, 0.3], [0.2, 1.0]])))
     e = tmp_path / "e.txt"
-    e.write_text("2 1\n1 1 1.0\n")
-    rc, out, err = run(capsys, ["vstar", str(a), str(e), "--tol", "0.5"])
-    assert rc == 3
-    assert out == ""
-    assert "not monotone" in err
+    e.write_text("2 1\n2 2 1.0\n")
+    for scale in (2.0**20, 2.0**-20):
+        a.write_text(format_dense(scale * NOT_MONOTONE_WITHIN_SLACK))
+        rc, out, err = run(capsys, ["vstar", str(a), str(e)])
+        assert rc == 3
+        assert out == ""
+        assert "not monotone" in err
 
 
 def test_tridiag(capsys, tmp_path):
@@ -732,6 +736,7 @@ def test_plain_rendering(capsys, monkeypatch, tmp_path, argv, text):
     [
         ["classify", "m.txt", "--format", "dense"],
         ["laplacian", "--s", "1", "--t", "2", "--d", "0.5", "--tol", "1e-8"],
+        ["classify", "m.txt", "--tol", "1e-8"],
     ],
 )
 def test_flags_that_change_no_result_are_rejected(argv):
@@ -741,17 +746,18 @@ def test_flags_that_change_no_result_are_rejected(argv):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
-    # A monotone-only-with-slack matrix: --tol 0.5 and --plain on the first
-    # call must not carry over to the later ones.
+    # --which and --plain on the first call must not carry over to the later
+    # ones.
     path = tmp_path / "a.txt"
-    path.write_text("2\n1 0.3\n0.2 1\n")
+    path.write_text(DENSE_SAMPLE)
     cli._parser.cache_clear()
     builds = _count_calls(monkeypatch, cli, "build_parser")
-    rc, out, _ = run(capsys, ["classify", str(path), "--tol", "0.5", "--plain"])
+    rc, out, _ = run(capsys, ["bounds", str(path), "--which", "main", "--plain"])
     assert rc == 0
-    assert "is_monotone                      yes" in out
-    report = run_json(capsys, ["bounds", str(path), "--which", "main"])
-    assert report["command"] == "bounds"
+    assert out.startswith("bounds report\n")
+    assert "main" in out and "corollary" not in out
+    report = run_json(capsys, ["bounds", str(path)])
+    assert [b["method"] for b in report["bounds"]] == ["main", "corollary", "bouchon"]
     report = run_json(capsys, ["classify", str(path)])
-    assert not report["classification"]["is_monotone"]
+    assert report["command"] == "classify"
     assert len(builds) == 1

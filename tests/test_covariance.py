@@ -9,7 +9,8 @@ order, which a permutation need not keep first.  Numbers are compared to
 1e-12 relative, since LAPACK eliminates the permuted matrix in another order.
 
 Scaling: A -> cA with c a power of two scales every number in the classify,
-bounds and Buffoni vstar reports exactly by c, 1/c or 1, as its meaning says.
+bounds and Buffoni vstar reports exactly by c, 1/c or 1, as its meaning says,
+and leaves the verdict of the symmetric certificate as it is.
 """
 
 import json
@@ -21,10 +22,11 @@ from conftest import (
     SAMPLE_A,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
+    random_symmetric_sdd_m_matrix,
     random_well_conditioned,
 )
 
-from monobound import inverse_stats, write_dense
+from monobound import NotSymmetric, gavrilov_check, inverse_stats, write_dense
 from monobound.bounds import DENOMINATOR_FLOOR
 from monobound.cli import main
 
@@ -268,3 +270,37 @@ def test_vstar_report_scales_exactly(capsys, tmp_path, k):
         buffoni["value"] = value / c
         assert _vstar_report(capsys, tmp_path, a, c * e) == want
     assert routes == {("converged", True), ("converged", False)}
+
+
+def _gavrilov_verdict(a):
+    try:
+        return gavrilov_check(a, 2)
+    except NotSymmetric:
+        return "not symmetric"
+
+
+def _gavrilov_inputs():
+    # Symmetric M-matrices (a proof), a symmetric positive definite matrix
+    # that is not monotone and an indefinite one (no proof), and symmetric
+    # M-matrices with one entry moved by 1e-14 (still symmetric) and by 1e-9
+    # (not symmetric) of max|A|.
+    rng = np.random.default_rng(20134)
+    inputs = [
+        np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+        np.diag([1.0, -1.0, 1.0]),
+    ]
+    for n, moved in ((4, 0.0), (5, 1e-14), (6, 1e-9)):
+        a = random_symmetric_sdd_m_matrix(rng, n)
+        a[0, 1] += moved * np.abs(a).max()
+        inputs.append(a)
+    return inputs
+
+
+@pytest.mark.parametrize("k", [-300, -40, 40, 300])
+def test_gavrilov_verdict_is_scale_free(k):
+    verdicts = set()
+    for a in _gavrilov_inputs():
+        want = _gavrilov_verdict(a)
+        verdicts.add(want)
+        assert _gavrilov_verdict(2.0**k * a) == want
+    assert verdicts == {True, False, "not symmetric"}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from monobound import bisection_vstar, buffoni, buffoni_vstar, inverse_stats, is_monotone
-from monobound.classify import DEFAULT_MONOTONE_TOL
+from monobound.classify import MONOTONE_RTOL
 
 EPS = np.finfo(float).eps
 
@@ -55,7 +55,7 @@ def test_verdict_and_statistics_match_a_50_digit_inverse(a):
 
     check = is_monotone(a)
     smallest = float(z.min())
-    assert check.monotone == (smallest >= -DEFAULT_MONOTONE_TOL * z_max)
+    assert check.monotone == (smallest >= -MONOTONE_RTOL * z_max)
     assert check.location == np.unravel_index(np.argmin(z), z.shape)
     assert abs(check.value - smallest) <= delta
 
@@ -76,17 +76,17 @@ def test_verdict_and_statistics_match_a_50_digit_inverse(a):
     assert abs(stats.buffoni_number - buffoni_number) <= 2.0 * float(moved.max())
 
 
-def _mp_monotone(m, tol):
+def _mp_monotone(m):
     """The monotonicity predicate on the 50-digit inverse of ``m``."""
     with mp.workdps(50):
         exact = _mp_inverse(m)
         entries = [exact[i, j] for i in range(exact.rows) for j in range(exact.cols)]
-        return min(entries) >= -tol * max(abs(x) for x in entries)
+        return min(entries) >= -MONOTONE_RTOL * max(abs(x) for x in entries)
 
 
 @contextmanager
 def _certified_verdicts():
-    """Collect (probe matrix, tol, verdict) for every probe of the threshold
+    """Collect (probe matrix, verdict) for every probe of the threshold
     search that takes no inverse, so that a residual certificate decided."""
     decided, inverted = [], []
     checked_inverse, monotone_inverse = buffoni._checked_inverse, buffoni._monotone_inverse
@@ -99,7 +99,7 @@ def _certified_verdicts():
         before = len(inverted)
         verdict, inv = checked_inverse(pair, v, residual)
         if len(inverted) == before:
-            decided.append((buffoni._perturbed(pair.m, pair.pert, v), pair.tol, verdict))
+            decided.append((buffoni._perturbed(pair.m, pair.pert, v), verdict))
         return verdict, inv
 
     with mock.patch.object(buffoni, "_monotone_inverse", counted), mock.patch.object(
@@ -138,8 +138,7 @@ NEAR_THRESHOLD = (1.0, 1 - 1e-13, 1 + 1e-13, 1 - 1e-10, 1 + 1e-10, 1 - 1e-6, 1 +
 def test_certified_verdicts_match_a_50_digit_inverse(pair):
     # A certified probe near v* takes no inverse; its verdict must be the one
     # the exact inverse of the probed matrix gives.
-    tol = DEFAULT_MONOTONE_TOL
-    pair = buffoni._validated_pair(*pair, tol)
+    pair = buffoni._validated_pair(*pair)
     vstar = buffoni._rank_one_vstar(pair).vstar / pair.unit
     assume(np.isfinite(vstar))
     residual = buffoni._search_residual(pair)
@@ -147,8 +146,8 @@ def test_certified_verdicts_match_a_50_digit_inverse(pair):
         for k in NEAR_THRESHOLD:
             buffoni._checked_inverse(pair, vstar * k, residual)
     assert decided
-    for probe, tol, verdict in decided:
-        assert bool(verdict) == _mp_monotone(probe, tol)
+    for probe, verdict in decided:
+        assert bool(verdict) == _mp_monotone(probe)
 
 
 def _mp_residual_norm(m, z):
@@ -171,9 +170,8 @@ def test_probe_residual_bounds_the_exact_residual(pair, k_a, k_e, wrong, error):
     # candidate against the probed matrix, for a pair in any power-of-two
     # scale and for Sherman-Morrison terms off by a relative ``error``: a
     # wrong term may only cost the certificate, never a wrong verdict.
-    tol = DEFAULT_MONOTONE_TOL
     a, e = pair
-    pair = buffoni._validated_pair(2.0**k_a * a, 2.0**k_e * e, tol)
+    pair = buffoni._validated_pair(2.0**k_a * a, 2.0**k_e * e)
     vstar = buffoni._rank_one_vstar(pair).vstar / pair.unit
     assume(np.isfinite(vstar))
     if wrong is not None:
@@ -188,8 +186,8 @@ def test_probe_residual_bounds_the_exact_residual(pair, k_a, k_e, wrong, error):
     with _certified_verdicts() as decided:
         for k in NEAR_THRESHOLD:
             buffoni._checked_inverse(pair, vstar * k, residual)
-    for probe, tol, verdict in decided:
-        assert bool(verdict) == _mp_monotone(probe, tol)
+    for probe, verdict in decided:
+        assert bool(verdict) == _mp_monotone(probe)
 
 
 RANK_ONE_INFINITE = [
@@ -205,5 +203,5 @@ def test_certified_search_keeps_infinite_rank_one_thresholds(name):
     assert buffoni_vstar(a, e).vstar == np.inf
     with _certified_verdicts() as decided:
         assert bisection_vstar(a, e) == np.inf
-    for probe, tol, verdict in decided:
-        assert bool(verdict) == _mp_monotone(probe, tol)
+    for probe, verdict in decided:
+        assert bool(verdict) == _mp_monotone(probe)
