@@ -10,10 +10,11 @@ proves, when the margin allows, that the predicate on the candidate gives
 the predicate on the exact inverse (:func:`_certified_verdict`).  A search
 forms one residual, that of A^-1, with one matrix product
 (:func:`_search_residual`); each probe then bounds its own residual from it
-in O(1) (:func:`_probe_residual`).  Otherwise the probe inverts by LAPACK as
-for a general E.  Every term of the bound is measured or bounded from the
-operation that produced it, so the proof holds for the matrix whatever the
-candidate, and the oracle stays independent of the closed form.
+in O(1) (:func:`_probe_residual`).  Otherwise the probe inverts A + v E by
+:func:`linalg.inverse` as for a general E.  Every term of the bound is
+measured or bounded from the operation that produced it, so the proof holds
+for the matrix whatever the candidate, and the oracle stays independent of
+the closed form.
 
 The threshold of interest is v* = sup { v >= 0 : A + v E is monotone } for a
 monotone A and an entrywise-nonnegative E.  Both searches run on the pair
@@ -324,7 +325,7 @@ def bisection_vstar(a, e, *, abs_tol: float = BISECT_ABS_TOL) -> float:
     bisection of the same bracket, and usually takes about a third of its
     probes.  Only the predicate's verdicts move the bracket ends.
 
-    For a rank-one E a probe takes no LAPACK inverse when a residual bound
+    For a rank-one E a probe takes no inverse when a residual bound
     proves its verdict on the Sherman-Morrison candidate, and inverts A + v E
     otherwise.  The search forms one residual, I - A Z for the inverse Z
     that validated A (one matrix product), and bounds each probe's residual

@@ -3,7 +3,8 @@ irreducibility, monotonicity (nonnegative inverse), and two
 sufficient-condition certificates for monotonicity.  Irreducibility reads
 the sparsity graph of the exact nonzeros.  Every monotonicity verdict,
 both certificates' included, reads the inverse with the one fixed slack
-:data:`MONOTONE_RTOL`."""
+:data:`MONOTONE_RTOL` (defined in :mod:`linalg`, whose block inverse reads
+it too, and exported here)."""
 
 from __future__ import annotations
 
@@ -20,11 +21,7 @@ from .errors import (
     ZeroDiagonal,
 )
 from .graphdist import _offdiag_mask, _reach_powers
-from .linalg import _window_scale, as_square_matrix, inverse
-
-#: Slack for inverse nonnegativity: entries down to
-#: -MONOTONE_RTOL * max|inverse entry| still count as nonnegative.
-MONOTONE_RTOL = 1e-10
+from .linalg import MONOTONE_RTOL, _is_z_pattern, _window_scale, as_square_matrix, inverse
 
 #: Absolute slack on row/column sums for the doubly-stochastic test.
 DEFAULT_QDS_TOL = 1e-8
@@ -104,8 +101,7 @@ def strict_dominance_set(sigma) -> tuple[int, ...]:
 
 def is_z_matrix(a) -> bool:
     """All off-diagonal entries nonpositive: every positive entry is diagonal."""
-    m = as_square_matrix(a)
-    return int(np.count_nonzero(m > 0.0)) == int(np.count_nonzero(np.diagonal(m) > 0.0))
+    return _is_z_pattern(as_square_matrix(a))
 
 
 def is_m_matrix(a) -> bool:

@@ -6,7 +6,9 @@ location the same way, and leaves every other number in the classify, bounds
 and Buffoni vstar reports unchanged.  Locations are compared only where the
 minimum they witness is unique: ties go to the first entry in row-major
 order, which a permutation need not keep first.  Numbers are compared to
-1e-12 relative, since LAPACK eliminates the permuted matrix in another order.
+1e-12 relative, since the inverse eliminates the permuted matrix in another
+order (LAPACK pivots, and the block inverse of an M-matrix above order 64
+splits it into other blocks).
 
 Scaling: A -> cA with c a power of two scales every number in the classify,
 bounds and Buffoni vstar reports exactly by c, 1/c or 1, as its meaning says,
@@ -56,6 +58,10 @@ def _cases():
         make_a = (random_sdd_m_matrix, _sparse_dominant, random_well_conditioned)[index % 3]
         make_e = (random_nonneg_perturbation, _rank_one)[index // 3 % 2]
         cases.append((make_a(rng, n), make_e(rng, n), rng.permutation(n)))
+    # Above linalg.BLOCK_LEAF_ORDER an M-matrix is inverted by block
+    # elimination, whose split a permutation does not keep.
+    for make_e in (random_nonneg_perturbation, _rank_one):
+        cases.append((random_sdd_m_matrix(rng, 100), make_e(rng, 100), rng.permutation(100)))
     return cases
 
 
@@ -111,7 +117,7 @@ def _assert_permuted(got, want, p, unique_min, path=""):
         assert got == want, path
 
 
-@pytest.mark.parametrize("case", range(24))
+@pytest.mark.parametrize("case", range(26))
 def test_reports_are_permutation_covariant(capsys, tmp_path, case):
     a, e, p = _cases()[case]
     want = _reports(capsys, tmp_path, a, e)
@@ -138,7 +144,7 @@ def test_cases_reach_every_route():
     assert monotone == rank_one == unique == {False, True}
 
 
-@pytest.mark.parametrize("case", range(24))
+@pytest.mark.parametrize("case", range(26))
 def test_ratio_argmin_is_permutation_covariant(case):
     a, _, p = _cases()[case]
     want, got = inverse_stats(a), inverse_stats(a[np.ix_(p, p)])

@@ -1,9 +1,10 @@
-"""High-precision oracle: a 50-digit mpmath inverse, independent of both the
-LAPACK inverse and the reference elimination of ``test_linalg.py``, checks
-the monotonicity verdict and the inverse statistics on small
-ill-conditioned inputs whose exact inverse has one entry at +-1e-8 of its
-largest, and every verdict that the threshold search's residual certificate
-decides without an inverse."""
+"""High-precision oracle: a 50-digit mpmath inverse, independent of
+``inverse`` (LAPACK, or block elimination on a Z-matrix) and of the
+reference elimination of ``test_linalg.py``, checks the monotonicity verdict
+and the inverse statistics on small ill-conditioned inputs whose exact
+inverse has one entry at +-1e-8 of its largest, the same on near-singular
+M-matrices inverted by block elimination, and every verdict that the
+threshold search's residual certificate decides without an inverse."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -15,7 +16,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from monobound import bisection_vstar, buffoni, buffoni_vstar, inverse_stats, is_monotone
+from monobound import (
+    bisection_vstar,
+    buffoni,
+    buffoni_vstar,
+    inverse,
+    inverse_stats,
+    is_monotone,
+    linalg,
+)
 from monobound.classify import MONOTONE_RTOL
 
 EPS = np.finfo(float).eps
@@ -41,9 +50,11 @@ def near_boundary_matrices(draw):
     return np.array(_mp_inverse(z).tolist(), dtype=float)
 
 
-@settings(max_examples=100, deadline=None)
-@given(near_boundary_matrices())
-def test_verdict_and_statistics_match_a_50_digit_inverse(a):
+def _statistics_match_50_digits(a):
+    """Check is_monotone and inverse_stats of ``a`` against its 50-digit
+    inverse Z, each within the normwise bound delta = n kappa eps max|Z| on
+    an entry of the float inverse (examples with delta >= 5e-9 max|Z| are
+    skipped), and return (the MonotoneCheck, Z rounded to floats, delta)."""
     n = len(a)
     kappa = float(np.linalg.cond(a))
     exact = _mp_inverse(a)
@@ -56,7 +67,6 @@ def test_verdict_and_statistics_match_a_50_digit_inverse(a):
     check = is_monotone(a)
     smallest = float(z.min())
     assert check.monotone == (smallest >= -MONOTONE_RTOL * z_max)
-    assert check.location == np.unravel_index(np.argmin(z), z.shape)
     assert abs(check.value - smallest) <= delta
 
     stats = inverse_stats(a)
@@ -74,6 +84,57 @@ def test_verdict_and_statistics_match_a_50_digit_inverse(a):
     rc = np.outer(r, c)
     moved = delta / rc + np.abs(z / rc) * n * delta * (1.0 / r[:, None] + 1.0 / c[None, :])
     assert abs(stats.buffoni_number - buffoni_number) <= 2.0 * float(moved.max())
+    return check, z, delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_boundary_matrices())
+def test_verdict_and_statistics_match_a_50_digit_inverse(a):
+    check, z, _ = _statistics_match_50_digits(a)
+    assert check.location == np.unravel_index(np.argmin(z), z.shape)
+
+
+@st.composite
+def near_singular_m_matrices(draw):
+    """A = s I - B with B >= 0 of order 5..12, nonsymmetric and dense or
+    with about half its off-diagonal entries zero (then often reducible),
+    and s = rho(B) (1 + gap) with gap down to 1e-7: an M-matrix whose
+    condition grows like 1 / gap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(5, 12))
+    b = rng.uniform(0.1, 1.0, size=(n, n))
+    if draw(st.booleans()):
+        b[(rng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)] = 0.0
+    gap = 10.0 ** -draw(st.integers(1, 7))
+    rho = float(np.abs(np.linalg.eigvals(b)).max())
+    return rho * (1.0 + gap) * np.eye(n) - b
+
+
+@settings(max_examples=50, deadline=None)
+@given(near_singular_m_matrices())
+def test_block_inverse_matches_a_50_digit_inverse(a):
+    # Leaves of order 2 make every draw recurse: each inverse below is the
+    # block path's, which the 50-digit inverse judges with the same
+    # kappa-scaled bound as LAPACK's above.  The location may differ where
+    # another entry lies within the error bound of the smallest.
+    with mock.patch.object(linalg, "BLOCK_LEAF_ORDER", 2):
+        blocks = np.empty_like(a)
+        linalg._block_inverse(a, blocks)
+        assert np.array_equal(inverse(a), blocks)
+        check, z, delta = _statistics_match_50_digits(a)
+    assert z[check.location] <= float(z.min()) + 2.0 * delta
+
+
+def test_block_path_falls_back_to_lapack_on_a_z_matrix_that_is_not_m():
+    # 3 I - (J - I) of order 5 has the eigenvalue 3 - 4 = -1.  With leaves of
+    # order 2 its leading block passes the leaf guard and a later one fails.
+    a = 4.0 * np.eye(5) - np.ones((5, 5))
+    with mock.patch.object(linalg, "BLOCK_LEAF_ORDER", 2), mock.patch.object(
+        linalg, "_block_inverse", wraps=linalg._block_inverse
+    ) as spy:
+        got = inverse(a)
+    assert spy.call_count > 1
+    assert np.array_equal(got, np.linalg.inv(a))
 
 
 def _mp_monotone(m):

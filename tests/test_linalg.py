@@ -1,13 +1,17 @@
 """Inverse checks.
 
 ``lu_factor`` below is an unblocked Python elimination with partial
-pivoting, kept here as the second engine that the LAPACK-backed ``inverse``
-is compared with, beside the 50-digit mpmath oracle of
+pivoting, kept here as the second engine that ``inverse`` (one LAPACK call,
+or block elimination for a Z-matrix above ``linalg.BLOCK_LEAF_ORDER``) is
+compared with, beside the 50-digit mpmath oracle of
 ``test_high_precision.py``."""
+
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import SAMPLE_A, SAMPLE_A_INV_4DP, random_well_conditioned
+from conftest import SAMPLE_A, SAMPLE_A_INV_4DP, random_sdd_m_matrix, random_well_conditioned
 
 from monobound import DimensionMismatch, SingularMatrix, inverse, is_monotone, linalg
 
@@ -166,8 +170,7 @@ def test_inverse_of_entries_near_the_largest_float():
 
 def test_inverse_repeats_bit_identically():
     rng = np.random.default_rng(19)
-    for n in (3, 40, 225):
-        a = rng.normal(size=(n, n))
+    for a in [rng.normal(size=(n, n)) for n in (3, 40, 225)] + [random_sdd_m_matrix(rng, 225)]:
         assert np.array_equal(inverse(a), inverse(a.copy()))
 
 
@@ -209,9 +212,111 @@ def test_inverse_matches_reference_elimination(n):
 def test_inverse_scaling_is_bit_exact_on_both_sides_of_the_window(k):
     # max|A| lies in [0.5, 1), so max|2^k A| lies in [2^(k-1), 2^k): inverse
     # passes 2^k A to LAPACK as it is for -255 <= k <= 256 and scales it
-    # back to A outside.  Either way the result is inverse(A) / 2^k exactly.
+    # back to A outside.  Either way the result is inverse(A) / 2^k exactly,
+    # on the block path too (the M-matrix).
     rng = np.random.default_rng(257)
-    for n in (3, 40, 225):
-        a = random_well_conditioned(rng, n)
+    for a in [random_well_conditioned(rng, n) for n in (3, 40, 225)] + [
+        random_sdd_m_matrix(rng, 225)
+    ]:
         a *= 2.0 ** -np.frexp(np.abs(a).max())[1]
         assert np.array_equal(inverse(2.0**k * a), inverse(a) / 2.0**k)
+
+
+def _grid_laplacian(rows, cols, shift):
+    """Five-point Laplacian on a rows x cols grid plus ``shift`` * I."""
+
+    def path(m):
+        return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+
+    return np.kron(np.eye(rows), path(cols)) + np.kron(path(rows), np.eye(cols)) + shift * np.eye(rows * cols)
+
+
+def _ring_laplacian(n):
+    """Laplacian of the n-cycle: a singular M-matrix."""
+    return 2.0 * np.eye(n) - np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)
+
+
+def _block_calls():
+    """Patch that counts calls of linalg._block_inverse, recursive ones
+    included."""
+    return mock.patch.object(linalg, "_block_inverse", wraps=linalg._block_inverse)
+
+
+#: Grid shapes of each order; halving 65, 127 and 129 splits unevenly.
+GRIDS = {65: (5, 13), 127: (1, 127), 128: (8, 16), 129: (3, 43), 225: (15, 15), 500: (20, 25)}
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_block_inverse_of_m_matrices_matches_reference_elimination(n):
+    rng = np.random.default_rng(n)
+    reducible = random_sdd_m_matrix(rng, n)
+    reducible[: n // 3, n // 3 :] = 0.0
+    matrices = [random_sdd_m_matrix(rng, n), reducible]
+    matrices += [_grid_laplacian(*GRIDS[n], shift) for shift in (0.5, 1e-3, 1e-6)]
+    for a in matrices:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inverse(a)
+        # Every leaf passes the guard, so the block result is returned.
+        blocks = np.empty_like(a)
+        linalg._block_inverse(a, blocks)
+        assert np.array_equal(got, blocks)
+        expected = _reference_inverse(a)
+        assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+    # Block lower triangular: the inverse is too, and its zero block is
+    # exact.
+    assert not np.any(inverse(reducible)[: n // 3, n // 3 :])
+
+
+def _z_not_m(rng, n):
+    # 50 I - (J - I): off-diagonal -1, eigenvalues 51 and 50 - (n - 1) = -49.
+    # Its leading block of order 50 is an M-matrix, and the Schur
+    # complement fails the leaf guard.
+    return 51.0 * np.eye(n) - np.ones((n, n))
+
+
+def _z_overflowing(rng, n):
+    # A leading block of order n / 2 at 1e-305 times a shifted ring
+    # Laplacian: its leaf inverse is finite, about 1e305, and the Schur
+    # complement's product overflows before the next leaf fails the guard.
+    k = n // 2
+    a = -rng.uniform(0.2, 1.0, (n, n))
+    a[:k, :k] = 1e-305 * (_ring_laplacian(k) + 0.01 * np.eye(k))
+    a[range(k, n), range(k, n)] = 100.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "make, n, attempts_blocks",
+    [
+        (random_well_conditioned, 225, False),
+        (_z_not_m, 100, True),
+        (_z_overflowing, 100, True),
+        (random_sdd_m_matrix, 64, False),
+        (random_sdd_m_matrix, 2, False),
+    ],
+)
+def test_inverse_is_lapack_off_the_block_path(make, n, attempts_blocks):
+    a = make(np.random.default_rng(n), n)
+    with _block_calls() as spy, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inverse(a)
+    assert spy.called == attempts_blocks
+    assert np.array_equal(got, np.linalg.inv(a))
+
+
+def test_block_path_refuses_singular_inverses():
+    n = 100
+    ring = _ring_laplacian(n)
+    # The ring Laplacian's last Schur complement is singular up to roundoff.
+    # A pivot of 1e-307 gives a finite block inverse with entries near
+    # 1e307: every leaf passes, and the singularity rule refuses the result.
+    tiny = random_sdd_m_matrix(np.random.default_rng(3), n)
+    tiny[0] = 0.0
+    tiny[0, 0] = 1e-307
+    for a in (ring, tiny):
+        with _block_calls() as spy, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="singular"):
+                inverse(a)
+        assert spy.called
