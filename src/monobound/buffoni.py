@@ -48,7 +48,14 @@ from .errors import (
     SingularIterate,
     SingularMatrix,
 )
-from .linalg import SINGULARITY_RTOL, _unit_scale, as_square_matrix, inverse
+from .linalg import (
+    BLOCK_LEAF_ORDER,
+    SINGULARITY_RTOL,
+    _column_span,
+    _unit_scale,
+    as_square_matrix,
+    inverse,
+)
 
 CONVERGENCE_RTOL = 1e-12
 MAX_ITER = 100
@@ -143,20 +150,23 @@ def _validated_pair(a, e) -> _Pair:
         raise DimensionMismatch(
             f"perturbation shape {e.shape} does not match matrix shape {a.shape}"
         )
-    if np.any(e < 0.0):
+    if e.min() < 0.0:
         raise NegativePerturbation("perturbation must be entrywise nonnegative")
     factors = _rank_one_factors(e)
-    s = _unit_scale(float(max(a.max(), -a.min())))
-    t = min(max(_unit_scale(float(e.max())), s * 2.0**-1022), s * 2.0**1023)
+    a_max, e_max = float(max(a.max(), -a.min())), float(e.max())
+    s = _unit_scale(a_max)
+    t = min(max(_unit_scale(e_max), s * 2.0**-1022), s * 2.0**1023)
     unit = t / s
     m = a * s
     verdict, z = _monotone_inverse(m)
     if not verdict:
         raise NotMonotone("base matrix is not monotone")
     pert = e * t
-    m_max, e_max = float(max(m.max(), -m.min())), float(pert.max())
+    # Scaling by a power of two is exact and rounding is monotone, so these
+    # are max|m| and max pert exactly; the verdict holds min z.
+    m_max, e_max = s * a_max, t * e_max
     h = m_max / e_max if e_max > 0.0 else math.inf
-    headroom = 0.5 / (SINGULARITY_RTOL * m_max * float(max(z.max(), -z.min()))) - 1.0
+    headroom = 0.5 / (SINGULARITY_RTOL * m_max * max(float(z.max()), -verdict.value)) - 1.0
     cap = h * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
     cap = min(cap, float(np.finfo(float).max) / unit)
     rank_one = None if factors is None else _rank_one_terms(factors, t, z)
@@ -211,15 +221,19 @@ def _rank_one_factors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | N
     underflow) and by the rounding of the subtraction; h is n times the
     largest.  The test counts the underflow too, so E is not taken as rank
     one where that loss alone could exceed the tolerance: where max E is
-    subnormal, or nearly so."""
+    subnormal, or nearly so.  |E - u w^T| is formed only over the span of
+    E's nonzero rows and columns: u, a column of E, is zero outside the
+    one and w, a row, outside the other, so outside that span both E and
+    fl(u w^T) are exactly 0, and h is the same as over all of E."""
     i, j = divmod(int(np.argmax(e)), e.shape[1])
     top = float(e[i, j])
     if top <= 0.0:
         return None
     u, w = e[:, j], e[i, :] / top
     # |E - u w^T| is formed in the one array that holds u w^T.
-    gap = np.outer(u, w)
-    np.subtract(e, gap, out=gap)
+    rows, cols = _column_span(e.T), _column_span(e)
+    gap = np.outer(u[rows], w[cols])
+    np.subtract(e[rows, cols], gap, out=gap)
     gap_max = float(np.abs(gap, out=gap).max())
     if gap_max + _UNDERFLOW > RANK_ONE_RTOL * top:
         return None
@@ -398,19 +412,32 @@ class _Residual(NamedTuple):
 def _residual_bound(m: np.ndarray, z: np.ndarray) -> _Residual:
     """The :class:`_Residual` of ``m`` and ``z`` from one matrix product.
 
-    The computed residual I - m z is within gamma_{n+1} (I + |m| |z|) of the
-    exact one for a conventional O(n^3) matrix product (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, sec. 3.5; Rump, Acta Numerica
-    19, 2010), so rho adds that term, and rho >= gamma_{n+1} also covers the
-    product's underflow.  A non-finite ``z`` or residual gives a rho that
-    fails ``rho < 1``, without a warning."""
+    m z is formed in row blocks of :data:`linalg.BLOCK_LEAF_ORDER` rows, each
+    multiplied only over the span of columns where its rows hold a nonzero
+    of m (by one product of the whole matrices when every span is full).
+    Each term left out is an exact zero of m times an entry of z, so every
+    entry of m z only loses zero terms.  The computed residual I - m z is
+    within gamma_{n+1} (I + |m| |z|) of the exact one for a conventional
+    O(n^3) matrix product, whatever the order or number of the terms
+    summed (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.5; Rump, Acta Numerica 19, 2010), so rho adds that term, and
+    rho >= gamma_{n+1} also covers the product's underflow.  A non-finite
+    ``z`` or residual gives a rho that fails ``rho < 1``, without a warning:
+    an entry of z in a row that no span reaches still enters ||z||."""
     n = m.shape[0]
     # At least gamma_{n+1} = (n + 1) u / (1 - (n + 1) u) for n below 10^13.
     gamma = 1.01 * (n + 1) * _UNIT_ROUNDOFF
+    step = BLOCK_LEAF_ORDER
+    spans = [_column_span(m[i : i + step]) for i in range(0, n, step)]
     with np.errstate(all="ignore"):
         # One work array holds the residual, then |m|, then |z|; each is
         # reduced before the next overwrites it.
-        work = m @ z
+        if all(cols == slice(0, n) for cols in spans):
+            work = m @ z
+        else:
+            work = np.empty_like(m)
+            for i, cols in zip(range(0, n, step), spans):
+                np.matmul(m[i : i + step, cols], z[cols], out=work[i : i + step])
         work.flat[:: n + 1] -= 1.0
         r_norm = float(np.abs(work, out=work).sum(axis=1).max())
         np.abs(m, out=work)

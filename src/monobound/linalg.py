@@ -5,7 +5,8 @@ verdict comes from one engine, except the threshold search's rank-one
 probes that a residual certificate decides (:func:`buffoni._certified_verdict`:
 one residual of A^-1 per search, and an O(1) bound from it per probe).  A
 Z-matrix above order :data:`BLOCK_LEAF_ORDER` is inverted by recursive 2x2
-block elimination without pivoting, whose work is matrix products
+block elimination without pivoting, whose work is matrix products over the
+rows and columns of the off-diagonal blocks that hold a nonzero
 (:func:`_block_inverse`); every other matrix, and a Z-matrix whose blocks
 fail the leaf guard, by one LAPACK call (``numpy.linalg.inv``: gesv against
 I).  Its singularity test is the package's one rule for a singular matrix:
@@ -37,6 +38,8 @@ MONOTONE_RTOL = 1e-10
 #: run-to-run noise (about 10%) of each other at orders 100 to 500, and 32
 #: and 128 up to 40% slower; the recursion was 10-15% slower than one LAPACK
 #: call at order 65, level at 80, and 2.1 to 2.6 times faster at 200 to 500.
+#: It is also the height of the row blocks of the residual product
+#: (:func:`buffoni._residual_bound`).
 BLOCK_LEAF_ORDER = 64
 
 
@@ -74,6 +77,20 @@ def _is_z_pattern(m: np.ndarray) -> bool:
     return int(np.count_nonzero(m > 0.0)) == int(np.count_nonzero(np.diagonal(m) > 0.0))
 
 
+def _column_span(b: np.ndarray) -> slice:
+    """The shortest slice of the columns of the 2-D array ``b`` that holds
+    every nonzero of ``b``, empty when there is none; ``b.T`` gives that of
+    its rows.  Where the first and the last column hold a nonzero, it is
+    all of them, found without a pass over ``b``."""
+    if b[:, 0].any() and b[:, -1].any():
+        return slice(0, b.shape[1])
+    flags = b.any(axis=0)
+    first = int(np.argmax(flags))
+    if not flags[first]:
+        return slice(0, 0)
+    return slice(first, flags.size - int(np.argmax(flags[::-1])))
+
+
 def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
     """Write the inverse of the Z-matrix ``a`` into ``out`` by 2x2 block
     elimination without pivoting, splitting at k = n // 2:
@@ -89,6 +106,18 @@ def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
     Z-matrix, every product sums terms of one sign, and elimination without
     pivoting on an M-matrix has no growth (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., ch. 9), so nothing cancels.
+
+    Each product runs only over the spans of rows and columns that hold a
+    nonzero of A21 (r, cc) and of A12 (rr, c): C is zero outside rows r and
+    X A12 outside columns c, so C = A21[r, cc] X[cc, :], S[r, c] alone takes
+    C[:, rr] A12[rr, c], -S^-1 C = S^-1[:, r] (-C) and the top blocks read
+    S^-1 and -S^-1 C only in rows c (envelope elimination; George and Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    Every term left out is an exact zero times a factor that is finite
+    unless the result holds a non-finite entry (which :func:`inverse`
+    refuses), so every sum only loses zero terms.  A block whose first and
+    last rows and columns hold a nonzero is used whole, so a matrix without
+    zeros makes the products over whole blocks, bit for bit.
     """
     n = a.shape[0]
     if n <= BLOCK_LEAF_ORDER:
@@ -98,19 +127,26 @@ def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
             raise np.linalg.LinAlgError("leaf inverse is not nonnegative")
         return
     k = n // 2
-    a12 = a[:k, k:]
+    a12, a21 = a[:k, k:], a[k:, :k]
+    rr, c = _column_span(a12.T), _column_span(a12)
+    r, cc = _column_span(a21.T), _column_span(a21)
     x, s_inv, lower = out[:k, :k], out[k:, k:], out[k:, :k]
     _block_inverse(a[:k, :k], x)
-    # C and X A12 are negated in place, fresh and contiguous, so that each
-    # block of the inverse is one product written into its view of ``out``.
-    neg_c = a[k:, :k] @ x
+    # C (rows r only) and X A12 (columns c only) are negated in place, fresh
+    # and contiguous, so that each block of the inverse is one product
+    # written into its view of ``out``.
+    neg_c = np.matmul(a21[r, cc], x[cc])
     np.negative(neg_c, out=neg_c)
-    _block_inverse(a[k:, k:] + neg_c @ a12, s_inv)
-    np.matmul(s_inv, neg_c, out=lower)
-    neg_x_a12 = x @ a12
+    s = a[k:, k:].copy()
+    s[r, c] += np.matmul(neg_c[:, rr], a12[rr, c])
+    _block_inverse(s, s_inv)
+    # Freed before the products below take their own arrays.
+    del s
+    np.matmul(s_inv[:, r], neg_c, out=lower)
+    neg_x_a12 = np.matmul(x[:, rr], a12[rr, c])
     np.negative(neg_x_a12, out=neg_x_a12)
-    np.matmul(neg_x_a12, s_inv, out=out[:k, k:])
-    x += neg_x_a12 @ lower
+    np.matmul(neg_x_a12, s_inv[c], out=out[:k, k:])
+    x += np.matmul(neg_x_a12, lower[c])
 
 
 def inverse(a) -> np.ndarray:
@@ -118,8 +154,9 @@ def inverse(a) -> np.ndarray:
 
     A Z-matrix (:func:`_is_z_pattern`) of order above
     :data:`BLOCK_LEAF_ORDER` is inverted by :func:`_block_inverse`, which on
-    an M-matrix needs no pivoting and does about 2n^3 flops, most of them in
-    matrix products, against LAPACK's 8n^3/3.  Every other matrix, and a
+    an M-matrix needs no pivoting and does at most about 2n^3 flops, most of
+    them in matrix products that skip the zero rows and columns of the
+    off-diagonal blocks, against LAPACK's 8n^3/3.  Every other matrix, and a
     Z-matrix with a leaf that fails that function's guard (a Z-matrix that
     is not an M-matrix), is inverted by one LAPACK call
     (``numpy.linalg.inv``), as it would be without the block path.

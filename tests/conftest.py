@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +56,30 @@ def random_sdd_m_matrix(rng, n):
     a = -off
     np.fill_diagonal(a, off.sum(axis=1) * rng.uniform(1.05, 2.0, size=n))
     return a
+
+
+def grid_laplacian(rows, cols, shift):
+    """Five-point Laplacian on a rows x cols grid plus ``shift`` * I: an
+    M-matrix for shift > 0, banded with bandwidth cols (1 when rows is 1)."""
+
+    def path(m):
+        return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+
+    return np.kron(np.eye(rows), path(cols)) + np.kron(path(rows), np.eye(cols)) + shift * np.eye(rows * cols)
+
+
+def matmul_shapes(fn):
+    """(rows, inner, columns) of each np.matmul call that ``fn()`` makes, in
+    call order; products written with the ``@`` operator are not seen."""
+    shapes, matmul = [], np.matmul
+
+    def spy(x, y, *args, **kwargs):
+        shapes.append((x.shape[0], x.shape[1], y.shape[1]))
+        return matmul(x, y, *args, **kwargs)
+
+    with mock.patch.object(np, "matmul", spy):
+        fn()
+    return shapes
 
 
 def random_symmetric_sdd_m_matrix(rng, n):

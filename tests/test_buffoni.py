@@ -11,6 +11,8 @@ from conftest import (
     NOT_MONOTONE_WITHIN_SLACK,
     SAMPLE_A,
     SAMPLE_A_VSTAR_UNIFORM,
+    grid_laplacian,
+    matmul_shapes,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
     random_tridiagonal_m_matrix,
@@ -27,6 +29,7 @@ from monobound import (
     inverse,
     inverse_stats,
     is_monotone,
+    linalg,
     main_bound,
     tridiagonal_bound,
 )
@@ -684,14 +687,16 @@ def test_threshold_search_working_set(stage, budget, monkeypatch):
     assert _peak_arrays(run, n) <= budget + 0.1
 
 
-def _reference_certified_check(m, z):
-    """Reference for the certificate of ``z`` as an inverse of ``m`` from one
-    residual product (buffoni._residual_bound, then buffoni._certified_verdict):
-    the same certificate with a fresh array for each of the residual, |m| and
-    |z|."""
+def _grow_and_gamma(n):
+    """buffoni._grow(n) and the gamma_{n+1} of buffoni._residual_bound."""
+    return 1.0 + 4.0 * (n + 2) * buffoni._UNIT_ROUNDOFF, 1.01 * (n + 1) * buffoni._UNIT_ROUNDOFF
+
+
+def _reference_residual(m, z):
+    """Reference for buffoni._residual_bound: the whole product m z, and a
+    fresh array for each of the residual, |m| and |z|."""
     n = m.shape[0]
-    grow = 1.0 + 4.0 * (n + 2) * buffoni._UNIT_ROUNDOFF
-    gamma = 1.01 * (n + 1) * buffoni._UNIT_ROUNDOFF
+    grow, gamma = _grow_and_gamma(n)
     with np.errstate(all="ignore"):
         residual = m @ z
         residual.flat[:: n + 1] -= 1.0
@@ -700,15 +705,24 @@ def _reference_certified_check(m, z):
         m_norm = float(abs_m.sum(axis=1).max())
         z_norm = float(abs_z.sum(axis=1).max())
     rho = grow * (r_norm + gamma * (1.0 + m_norm * z_norm))
+    return buffoni._Residual(rho, m_norm, float(abs_m.max()), z_norm)
+
+
+def _reference_certified_check(m, z):
+    """Reference for the certificate of ``z`` as an inverse of ``m`` from one
+    residual product (buffoni._residual_bound, then buffoni._certified_verdict):
+    the same certificate from :func:`_reference_residual`."""
+    grow, _ = _grow_and_gamma(m.shape[0])
+    rho, _, m_max, z_norm = _reference_residual(m, z)
     if not rho < 1.0:
         return None
     delta = grow * z_norm * rho / (1.0 - rho)
-    z_max = float(abs_z.max())
+    z_max = float(np.abs(z).max())
     check = _monotone_check(z)
     slack = MONOTONE_RTOL * z_max
     margin = abs(check.value + slack)
     bound = grow * ((1.0 + MONOTONE_RTOL) * delta + buffoni._UNIT_ROUNDOFF * slack) + 8.0 * math.ulp(0.0)
-    regular = grow * SINGULARITY_RTOL * float(abs_m.max()) * (z_max + delta) < 1.0
+    regular = grow * SINGULARITY_RTOL * m_max * (z_max + delta) < 1.0
     return check if margin > bound and regular else None
 
 
@@ -744,3 +758,122 @@ def test_certificate_matches_its_reference():
         decided += got is not None
         declined += got is None
     assert decided >= 16 and declined >= 10
+
+
+def _banded(rng, n, width):
+    """Strictly diagonally dominant M-matrix of bandwidth ``width``."""
+    a = random_sdd_m_matrix(rng, n)
+    a[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > width] = 0.0
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -1.5 * a.sum(axis=1) + 0.1)
+    return a
+
+
+def _column_spans(m):
+    """Width of the span of nonzero columns of each row block of m that
+    buffoni._residual_bound multiplies."""
+    step = linalg.BLOCK_LEAF_ORDER
+    widths = []
+    for i in range(0, m.shape[0], step):
+        cols = np.flatnonzero(m[i : i + step].any(axis=0))
+        widths.append(int(cols[-1] - cols[0] + 1))
+    return widths
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: grid_laplacian(15, 15, 0.1),
+        lambda rng: grid_laplacian(1, 200, 1e-3),
+        lambda rng: _banded(rng, 150, 20),
+    ],
+)
+def test_residual_bound_over_spans_matches_the_whole_product(make):
+    # Each row block of m is multiplied over the span of its nonzero
+    # columns only; the norms are the same and rho, whose products sum in
+    # another order, moves within the gamma term that covers that rounding.
+    rng = np.random.default_rng(29)
+    a = make(rng)
+    n = a.shape[0]
+    m = a * _unit_scale(float(np.abs(a).max()))
+    z = inverse(m)
+    grow, gamma = _grow_and_gamma(n)
+    for candidate in (z, z * (1.0 + 1e-9 * rng.standard_normal(z.shape))):
+        shapes = matmul_shapes(lambda: buffoni._residual_bound(m, candidate))
+        got, want = buffoni._residual_bound(m, candidate), _reference_residual(m, candidate)
+        assert [inner for _, inner, _ in shapes] == _column_spans(m)
+        assert max(inner for _, inner, _ in shapes) < n
+        assert got[1:] == want[1:]
+        assert abs(got.rho - want.rho) <= grow * gamma * (1.0 + got.m_norm * got.z_norm)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_row_outside_every_span_gets_no_certificate(bad):
+    # Column n - 1 of m is zero, so no row block's span reaches row n - 1
+    # of the candidate and the product never reads it: ||z|| does.
+    m = grid_laplacian(10, 10, 0.5) / 8.5
+    z = inverse(m)
+    m[:, -1] = 0.0
+    z[-1, 3] = bad
+    assert max(_column_spans(m)) < 99
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = buffoni._residual_bound(m, z)
+        assert not math.isfinite(residual.rho)
+        assert buffoni._certified_verdict(z, residual) is None
+
+
+def _reference_rank_one_factors(e):
+    """Reference for buffoni._rank_one_factors: |E - u w^T| formed over all
+    of E."""
+    i, j = divmod(int(np.argmax(e)), e.shape[1])
+    top = float(e[i, j])
+    if top <= 0.0:
+        return None
+    u, w = e[:, j], e[i, :] / top
+    gap_max = float(np.abs(e - np.outer(u, w)).max())
+    if gap_max + math.ulp(0.0) > buffoni.RANK_ONE_RTOL * top:
+        return None
+    n = e.shape[0]
+    grow, _ = _grow_and_gamma(n)
+    return u, w, n * (grow * (gap_max + buffoni._UNIT_ROUNDOFF * top) + math.ulp(0.0))
+
+
+def _perturbations(n):
+    """Nonnegative E of order n: sparse rank one, rank one with its
+    nonzeros in the four corners, two opposite corners (rank two), one
+    entry, dense rank one, and each of those rank-one E with a roundoff-level
+    change inside its span."""
+    rng = np.random.default_rng(n)
+    u, w = np.zeros(n), np.zeros(n)
+    u[rng.choice(n, 4, replace=False)] = rng.uniform(0.5, 2.0, 4)
+    w[rng.choice(n, 3, replace=False)] = rng.uniform(0.5, 2.0, 3)
+    ends = np.zeros(n)
+    ends[[0, -1]] = [0.7, 1.3]
+    opposite = np.zeros((n, n))
+    opposite[0, -1], opposite[-1, 0] = 1.0, 2.0
+    rank_one = [
+        np.outer(u, w),
+        np.outer(ends, ends[::-1]),
+        _unit(n, n // 2, n // 3),
+        np.outer(rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)),
+    ]
+    nudged = []
+    for e in rank_one:
+        e = e.copy()
+        e.flat[int(np.argmax(e > 0.0))] *= 1.0 + 2e-16
+        nudged.append(e)
+    return rank_one + nudged + [opposite]
+
+
+@pytest.mark.parametrize("n", [5, 64, 225])
+def test_rank_one_factors_over_the_span_match_the_whole_matrix(n):
+    decided = 0
+    for e in _perturbations(n):
+        got, want = buffoni._rank_one_factors(e), _reference_rank_one_factors(e)
+        assert (got is None) == (want is None)
+        if got is not None:
+            decided += 1
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+    assert decided >= 4

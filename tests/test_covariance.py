@@ -8,7 +8,8 @@ minimum they witness is unique: ties go to the first entry in row-major
 order, which a permutation need not keep first.  Numbers are compared to
 1e-12 relative, since the inverse eliminates the permuted matrix in another
 order (LAPACK pivots, and the block inverse of an M-matrix above order 64
-splits it into other blocks).
+splits it into other blocks, over the nonzero spans of a banded matrix's
+off-diagonal blocks and over whole blocks once it is permuted).
 
 Scaling: A -> cA with c a power of two scales every number in the classify,
 bounds and Buffoni vstar reports exactly by c, 1/c or 1, as its meaning says,
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 from conftest import (
     SAMPLE_A,
+    grid_laplacian,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
     random_symmetric_sdd_m_matrix,
@@ -62,6 +64,12 @@ def _cases():
     # elimination, whose split a permutation does not keep.
     for make_e in (random_nonneg_perturbation, _rank_one):
         cases.append((random_sdd_m_matrix(rng, 100), make_e(rng, 100), rng.permutation(100)))
+    # The block inverse and the residual product of a grid Laplacian run
+    # over the nonzero spans of its bands; permuted, every span is full.
+    u, w = np.zeros(225), np.zeros(225)
+    for v in (u, w):
+        v[rng.choice(225, 3, replace=False)] = rng.uniform(0.5, 2.0, 3)
+    cases.append((grid_laplacian(15, 15, 0.2), np.outer(u, w), rng.permutation(225)))
     return cases
 
 
@@ -117,7 +125,7 @@ def _assert_permuted(got, want, p, unique_min, path=""):
         assert got == want, path
 
 
-@pytest.mark.parametrize("case", range(26))
+@pytest.mark.parametrize("case", range(27))
 def test_reports_are_permutation_covariant(capsys, tmp_path, case):
     a, e, p = _cases()[case]
     want = _reports(capsys, tmp_path, a, e)
@@ -144,7 +152,7 @@ def test_cases_reach_every_route():
     assert monotone == rank_one == unique == {False, True}
 
 
-@pytest.mark.parametrize("case", range(26))
+@pytest.mark.parametrize("case", range(27))
 def test_ratio_argmin_is_permutation_covariant(case):
     a, _, p = _cases()[case]
     want, got = inverse_stats(a), inverse_stats(a[np.ix_(p, p)])

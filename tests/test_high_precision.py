@@ -96,15 +96,24 @@ def test_verdict_and_statistics_match_a_50_digit_inverse(a):
 
 @st.composite
 def near_singular_m_matrices(draw):
-    """A = s I - B with B >= 0 of order 5..12, nonsymmetric and dense or
-    with about half its off-diagonal entries zero (then often reducible),
-    and s = rho(B) (1 + gap) with gap down to 1e-7: an M-matrix whose
-    condition grows like 1 / gap."""
+    """A = s I - B with B >= 0 of order 5..12, nonsymmetric and dense, with
+    about half its off-diagonal entries zero (then often reducible), banded
+    with bandwidth 1 to 3, or block sparse (zero above, or above and below,
+    a diagonal split), and s = rho(B) (1 + gap) with gap down to 1e-7: an
+    M-matrix whose condition grows like 1 / gap."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(5, 12))
     b = rng.uniform(0.1, 1.0, size=(n, n))
-    if draw(st.booleans()):
+    pattern = draw(st.sampled_from(["dense", "half", "banded", "block"]))
+    if pattern == "half":
         b[(rng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)] = 0.0
+    elif pattern == "banded":
+        b[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > draw(st.integers(1, 3))] = 0.0
+    elif pattern == "block":
+        k = draw(st.integers(1, n - 1))
+        b[:k, k:] = 0.0
+        if draw(st.booleans()):
+            b[k:, :k] = 0.0
     gap = 10.0 ** -draw(st.integers(1, 7))
     rho = float(np.abs(np.linalg.eigvals(b)).max())
     return rho * (1.0 + gap) * np.eye(n) - b
@@ -113,10 +122,12 @@ def near_singular_m_matrices(draw):
 @settings(max_examples=50, deadline=None)
 @given(near_singular_m_matrices())
 def test_block_inverse_matches_a_50_digit_inverse(a):
-    # Leaves of order 2 make every draw recurse: each inverse below is the
-    # block path's, which the 50-digit inverse judges with the same
-    # kappa-scaled bound as LAPACK's above.  The location may differ where
-    # another entry lies within the error bound of the smallest.
+    # Leaves of order 2 make every draw recurse, and the sparse patterns
+    # leave zero rows and columns at the ends of the off-diagonal blocks of
+    # many splits: each inverse below is the block path's, which the
+    # 50-digit inverse judges with the same kappa-scaled bound as LAPACK's
+    # above.  The location may differ where another entry lies within the
+    # error bound of the smallest.
     with mock.patch.object(linalg, "BLOCK_LEAF_ORDER", 2):
         blocks = np.empty_like(a)
         linalg._block_inverse(a, blocks)

@@ -4,14 +4,23 @@
 pivoting, kept here as the second engine that ``inverse`` (one LAPACK call,
 or block elimination for a Z-matrix above ``linalg.BLOCK_LEAF_ORDER``) is
 compared with, beside the 50-digit mpmath oracle of
-``test_high_precision.py``."""
+``test_high_precision.py``.  ``_dense_block_inverse`` is the block
+elimination with every product over whole blocks, the reference for the
+block path's products over the nonzero spans."""
 
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import SAMPLE_A, SAMPLE_A_INV_4DP, random_sdd_m_matrix, random_well_conditioned
+from conftest import (
+    SAMPLE_A,
+    SAMPLE_A_INV_4DP,
+    grid_laplacian,
+    matmul_shapes,
+    random_sdd_m_matrix,
+    random_well_conditioned,
+)
 
 from monobound import DimensionMismatch, SingularMatrix, inverse, is_monotone, linalg
 
@@ -213,22 +222,15 @@ def test_inverse_scaling_is_bit_exact_on_both_sides_of_the_window(k):
     # max|A| lies in [0.5, 1), so max|2^k A| lies in [2^(k-1), 2^k): inverse
     # passes 2^k A to LAPACK as it is for -255 <= k <= 256 and scales it
     # back to A outside.  Either way the result is inverse(A) / 2^k exactly,
-    # on the block path too (the M-matrix).
+    # on the block path too (the M-matrices), with its products over whole
+    # blocks (the dense one) or over the nonzero spans (the grid).
     rng = np.random.default_rng(257)
     for a in [random_well_conditioned(rng, n) for n in (3, 40, 225)] + [
-        random_sdd_m_matrix(rng, 225)
+        random_sdd_m_matrix(rng, 225),
+        grid_laplacian(15, 15, 0.1),
     ]:
         a *= 2.0 ** -np.frexp(np.abs(a).max())[1]
         assert np.array_equal(inverse(2.0**k * a), inverse(a) / 2.0**k)
-
-
-def _grid_laplacian(rows, cols, shift):
-    """Five-point Laplacian on a rows x cols grid plus ``shift`` * I."""
-
-    def path(m):
-        return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
-
-    return np.kron(np.eye(rows), path(cols)) + np.kron(path(rows), np.eye(cols)) + shift * np.eye(rows * cols)
 
 
 def _ring_laplacian(n):
@@ -246,14 +248,66 @@ def _block_calls():
 GRIDS = {65: (5, 13), 127: (1, 127), 128: (8, 16), 129: (3, 43), 225: (15, 15), 500: (20, 25)}
 
 
+def _dense_block_inverse(a, out):
+    """Reference: the block elimination of linalg._block_inverse with every
+    product over whole blocks, no zero row or column of A21 and A12
+    skipped, and no leaf guard (it is called on M-matrices only)."""
+    n = a.shape[0]
+    if n <= linalg.BLOCK_LEAF_ORDER:
+        out[...] = np.linalg.inv(a)
+        return
+    k = n // 2
+    x, s_inv, lower = out[:k, :k], out[k:, k:], out[k:, :k]
+    _dense_block_inverse(a[:k, :k], x)
+    neg_c = -(a[k:, :k] @ x)
+    _dense_block_inverse(a[k:, k:] + neg_c @ a[:k, k:], s_inv)
+    lower[...] = s_inv @ neg_c
+    neg_x_a12 = -(x @ a[:k, k:])
+    out[:k, k:] = neg_x_a12 @ s_inv
+    x += neg_x_a12 @ lower
+
+
+def _sparse_m_matrices(n):
+    """M-matrices of order n whose off-diagonal blocks at the first split
+    k = n // 2 have zero rows and columns, with the blocks of their inverse
+    that must be exactly zero: block diagonal (no span), block lower
+    triangular (A12 = 0), zero in its first n // 3 rows beyond column
+    n // 3 (A12 has a partial span), grid Laplacians (every span partial),
+    and a grid whose two corner entries make both spans of the first split
+    full."""
+    rng = np.random.default_rng(n)
+    k, third = n // 2, n // 3
+    diagonal, triangular, reducible = (random_sdd_m_matrix(rng, n) for _ in range(3))
+    diagonal[:k, k:] = diagonal[k:, :k] = 0.0
+    triangular[:k, k:] = 0.0
+    reducible[:third, third:] = 0.0
+    corners = grid_laplacian(*GRIDS[n], 0.5)
+    corners[0, -1] = corners[-1, 0] = -0.25
+    cases = [
+        (diagonal, [np.s_[:k, k:], np.s_[k:, :k]]),
+        (triangular, [np.s_[:k, k:]]),
+        (reducible, [np.s_[:third, third:]]),
+        (corners, []),
+    ]
+    return cases + [(grid_laplacian(*GRIDS[n], shift), []) for shift in (0.5, 1e-3, 1e-6)]
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_block_inverse_of_dense_m_matrices_is_the_dense_elimination(n):
+    # No off-diagonal block has a zero row or column at either end, so every
+    # product runs over whole blocks, bit for bit.
+    a = random_sdd_m_matrix(np.random.default_rng(n + 1), n)
+    dense = np.empty_like(a)
+    _dense_block_inverse(a, dense)
+    got = inverse(a)
+    assert np.array_equal(got, dense)
+    expected = _reference_inverse(a)
+    assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("n", sorted(GRIDS))
 def test_block_inverse_of_m_matrices_matches_reference_elimination(n):
-    rng = np.random.default_rng(n)
-    reducible = random_sdd_m_matrix(rng, n)
-    reducible[: n // 3, n // 3 :] = 0.0
-    matrices = [random_sdd_m_matrix(rng, n), reducible]
-    matrices += [_grid_laplacian(*GRIDS[n], shift) for shift in (0.5, 1e-3, 1e-6)]
-    for a in matrices:
+    for a, zero_blocks in _sparse_m_matrices(n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = inverse(a)
@@ -261,11 +315,39 @@ def test_block_inverse_of_m_matrices_matches_reference_elimination(n):
         blocks = np.empty_like(a)
         linalg._block_inverse(a, blocks)
         assert np.array_equal(got, blocks)
-        expected = _reference_inverse(a)
-        assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
-    # Block lower triangular: the inverse is too, and its zero block is
-    # exact.
-    assert not np.any(inverse(reducible)[: n // 3, n // 3 :])
+        dense = np.empty_like(a)
+        _dense_block_inverse(a, dense)
+        for expected in (_reference_inverse(a), dense):
+            assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+        for block in zero_blocks:
+            assert not np.any(got[block])
+
+
+def _splits(n):
+    """Number of 2x2 splits that linalg._block_inverse makes at order n."""
+    return 0 if n <= linalg.BLOCK_LEAF_ORDER else 1 + _splits(n // 2) + _splits(n - n // 2)
+
+
+def _inner_dimensions(a):
+    """Inner dimension of each matrix product of linalg._block_inverse on
+    ``a``, in call order."""
+    shapes = matmul_shapes(lambda: linalg._block_inverse(a, np.empty_like(a)))
+    return [inner for _, inner, _ in shapes]
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_block_products_run_over_the_nonzero_spans(n):
+    # Six products per split.  A banded matrix keeps its bandwidth in every
+    # leading block and Schur complement, and each span of a split is at
+    # most that wide; products over whole blocks would have inner dimension
+    # n // 2 at the first split, above every grid's bandwidth.
+    rows, cols = GRIDS[n]
+    dims = _inner_dimensions(grid_laplacian(rows, cols, 0.5))
+    assert len(dims) == 6 * _splits(n)
+    assert max(dims) <= (cols if rows > 1 else 1)
+    # A block diagonal matrix: the first split's six products are empty.
+    diagonal, _ = _sparse_m_matrices(n)[0]
+    assert _inner_dimensions(diagonal).count(0) == 6
 
 
 def _z_not_m(rng, n):
