@@ -21,9 +21,12 @@ monotone A and an entrywise-nonnegative E.  Both searches run on the pair
 scaled once by powers of two (:func:`_validated_pair`), so the threshold of
 (c A, E) is exactly c times that of (A, E), and that of (A, c E) 1/c times,
 across the float range unless a value is subnormal.  The iteration and
-search settings are the fixed module constants below, and every
-monotonicity verdict, certified or not, reads its inverse with the one fixed
-slack :data:`classify.MONOTONE_RTOL`.
+search settings are the fixed module constants below.  Every monotonicity
+verdict, certified or not, is the package's one verdict
+(:func:`linalg._monotone_check`, with the one fixed slack
+:data:`linalg.MONOTONE_RTOL`) on an inverse or a candidate, and the cap, the
+certificate's slack and the narrowing probes read max|Z| from the verdicts
+they hold rather than from Z.
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import (
-    MONOTONE_RTOL,
-    MonotoneCheck,
-    _monotone_check,
-    _monotone_inverse,
-    is_z_matrix,
-)
+from .classify import _monotone_inverse, is_z_matrix
 from .errors import (
     DimensionMismatch,
     NegativePerturbation,
@@ -50,8 +47,11 @@ from .errors import (
 )
 from .linalg import (
     BLOCK_LEAF_ORDER,
+    MONOTONE_RTOL,
     SINGULARITY_RTOL,
+    MonotoneCheck,
     _column_span,
+    _monotone_check,
     _unit_scale,
     as_square_matrix,
     inverse,
@@ -113,15 +113,16 @@ class _Pair(NamedTuple):
     """A validated pair (A, E) in unit scale and what both threshold searches
     read from it, each found once: ``m`` = s A and ``pert`` = t E, with s and
     t the powers of two that bring max|A| and max E into [0.5, 1)
-    (:func:`linalg._unit_scale`); ``z`` = m^-1; ``unit`` = t / s, so A + v E
-    is monotone exactly when m + (v / unit) pert is; ``h`` = max|m| / max pert
-    (math.inf for a zero E); the ``cap`` past which both searches report
-    math.inf; and the :func:`_rank_one_terms` of E (None unless E is rank
-    one)."""
+    (:func:`linalg._unit_scale`); ``z`` = m^-1 and ``check``, the verdict on
+    it that validated m; ``unit`` = t / s, so A + v E is monotone exactly
+    when m + (v / unit) pert is; ``h`` = max|m| / max pert (math.inf for a
+    zero E); the ``cap`` past which both searches report math.inf; and the
+    :func:`_rank_one_terms` of E (None unless E is rank one)."""
 
     m: np.ndarray
     pert: np.ndarray
     z: np.ndarray
+    check: MonotoneCheck
     unit: float
     h: float
     cap: float
@@ -163,14 +164,14 @@ def _validated_pair(a, e) -> _Pair:
         raise NotMonotone("base matrix is not monotone")
     pert = e * t
     # Scaling by a power of two is exact and rounding is monotone, so these
-    # are max|m| and max pert exactly; the verdict holds min z.
+    # are max|m| and max pert exactly; the verdict holds max|z|.
     m_max, e_max = s * a_max, t * e_max
     h = m_max / e_max if e_max > 0.0 else math.inf
-    headroom = 0.5 / (SINGULARITY_RTOL * m_max * max(float(z.max()), -verdict.value)) - 1.0
+    headroom = 0.5 / (SINGULARITY_RTOL * m_max * verdict._z_max) - 1.0
     cap = h * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
     cap = min(cap, float(np.finfo(float).max) / unit)
     rank_one = None if factors is None else _rank_one_terms(factors, t, z)
-    return _Pair(m, pert, z, unit, h, cap, rank_one)
+    return _Pair(m, pert, z, verdict, unit, h, cap, rank_one)
 
 
 def buffoni_vstar(a, e) -> BuffoniTrace:
@@ -188,8 +189,8 @@ def buffoni_vstar(a, e) -> BuffoniTrace:
     increment is at most ``CONVERGENCE_RTOL * v`` (relative, so the search
     scales with the pair; a zero increment at v = 0 converges), and
     :data:`MAX_ITER` iterates at most.
-    A W entry below -1e-10 * max W raises :class:`NotMonotone`: the
-    slack :data:`classify.MONOTONE_RTOL` let a non-monotone A through
+    A W entry below -MONOTONE_RTOL * max W raises :class:`NotMonotone`:
+    the slack :data:`linalg.MONOTONE_RTOL` let a non-monotone A through
     validation.
 
     A rank-one E = u w^T (to :data:`RANK_ONE_RTOL`) skips the iteration:
@@ -224,14 +225,16 @@ def _rank_one_factors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | N
     subnormal, or nearly so.  |E - u w^T| is formed only over the span of
     E's nonzero rows and columns: u, a column of E, is zero outside the
     one and w, a row, outside the other, so outside that span both E and
-    fl(u w^T) are exactly 0, and h is the same as over all of E."""
+    fl(u w^T) are exactly 0, and h is the same as over all of E.  The
+    columns are scanned only over that span's rows."""
     i, j = divmod(int(np.argmax(e)), e.shape[1])
     top = float(e[i, j])
     if top <= 0.0:
         return None
     u, w = e[:, j], e[i, :] / top
     # |E - u w^T| is formed in the one array that holds u w^T.
-    rows, cols = _column_span(e.T), _column_span(e)
+    rows = _column_span(e.T)
+    cols = _column_span(e[rows])
     gap = np.outer(u[rows], w[cols])
     np.subtract(e[rows, cols], gap, out=gap)
     gap_max = float(np.abs(gap, out=gap).max())
@@ -259,7 +262,7 @@ def _usable_denominators(w: np.ndarray, v: float) -> np.ndarray:
     when W vanishes."""
     w_max = float(w.max())
     # Z >= 0 and E >= 0 keep W nonnegative (up to roundoff) below v*.
-    if not float(w.min()) >= -1e-10 * w_max:
+    if not float(w.min()) >= -MONOTONE_RTOL * w_max:
         raise NotMonotone(f"negative ratio denominator at v={v!r}: A + v E is not monotone")
     return w > W_FLOOR * w_max
 
@@ -449,7 +452,7 @@ def _residual_bound(m: np.ndarray, z: np.ndarray) -> _Residual:
 
 
 def _certified_verdict(z: np.ndarray, residual: _Residual) -> MonotoneCheck | None:
-    """:func:`classify._monotone_check` of ``z`` when ``residual`` proves it
+    """:func:`linalg._monotone_check` of ``z`` when ``residual`` proves it
     is also the verdict on the exact inverse of the matrix M it bounds; None
     otherwise.
 
@@ -473,11 +476,10 @@ def _certified_verdict(z: np.ndarray, residual: _Residual) -> MonotoneCheck | No
     grow = _grow(z.shape[0])
     delta = grow * residual.z_norm * rho / (1.0 - rho)
     check = _monotone_check(z)
-    z_max = max(float(z.max()), -check.value)
-    slack = MONOTONE_RTOL * z_max
+    slack = MONOTONE_RTOL * check._z_max
     margin = abs(check.value + slack)
     bound = grow * ((1.0 + MONOTONE_RTOL) * delta + _UNIT_ROUNDOFF * slack) + 8.0 * _UNDERFLOW
-    regular = grow * SINGULARITY_RTOL * residual.m_max * (z_max + delta) < 1.0
+    regular = grow * SINGULARITY_RTOL * residual.m_max * (check._z_max + delta) < 1.0
     return check if margin > bound and regular else None
 
 
@@ -597,14 +599,14 @@ def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
     cap, unit = pair.cap, pair.unit
     seed, abs_tol = seed / unit, abs_tol / unit
     # lo is always the last monotone probe (or 0, before one is made) and hi
-    # the last failing one, so these are the matrices tested at the bracket
-    # ends, or None at a singular hi.
-    last = {True: pair.z, False: None}
+    # the last failing one, so these are the verdicts and the matrices tested
+    # at the bracket ends, the matrix None at a singular hi.
+    last = {True: (pair.check, pair.z), False: (None, None)}
     residual = None if pair.rank_one is None else _search_residual(pair)
 
     def monotone_at(v: float) -> bool:
         verdict, inv = _checked_inverse(pair, v, residual)
-        last[bool(verdict)] = inv
+        last[bool(verdict)] = verdict, inv
         return bool(verdict)
 
     if 0.0 < seed < math.inf:
@@ -647,8 +649,8 @@ def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
 def _itp_point(
     lo: float,
     hi: float,
-    z_lo: np.ndarray,
-    z_hi: np.ndarray | None,
+    at_lo: tuple[MonotoneCheck, np.ndarray],
+    at_hi: tuple[MonotoneCheck | None, np.ndarray | None],
     width: float,
     reach: float,
 ) -> float:
@@ -656,18 +658,20 @@ def _itp_point(
     ACM TOMS 47(1), 2020) with n0 = 1, kappa2 = 2 and kappa1 = 0.2 / the
     bracket's initial ``width``.
 
-    The interpolant is the earliest v at which some entry, interpolated
-    linearly between the inverses at ``lo`` and ``hi``, crosses the tolerant
-    floor -MONOTONE_RTOL * max|Z| (itself interpolated); it is moved towards the
-    midpoint by kappa1 * (hi - lo)^kappa2 and then kept close enough to it
-    that the bracket it leaves is at most ``reach`` wide.  A singular ``hi``
-    (no inverse) gives the midpoint.
+    ``at_lo`` and ``at_hi`` are the verdict and the inverse tested at each
+    end.  The interpolant is the earliest v at which some entry,
+    interpolated linearly between the two inverses, crosses the tolerant
+    floor -MONOTONE_RTOL * max|Z| (itself interpolated, from the max|Z| each
+    verdict read); it is moved towards the midpoint by
+    kappa1 * (hi - lo)^kappa2 and then kept close enough to it that the
+    bracket it leaves is at most ``reach`` wide.  A singular ``hi`` (no
+    inverse) gives the midpoint.
     """
     mid = 0.5 * (lo + hi)
+    (check_lo, z_lo), (check_hi, z_hi) = at_lo, at_hi
     if z_hi is None:
         return mid
-    floor_lo = MONOTONE_RTOL * float(max(z_lo.max(), -z_lo.min()))
-    floor_hi = MONOTONE_RTOL * float(max(z_hi.max(), -z_hi.min()))
+    floor_lo, floor_hi = MONOTONE_RTOL * check_lo._z_max, MONOTONE_RTOL * check_hi._z_max
     # z_hi + floor_hi rounds below 0 exactly when z_hi < -floor_hi, so only
     # the crossing entries are shifted.  A monotone lo keeps every shifted
     # entry at lo >= 0 and a failing hi puts some shifted entry at hi < 0,

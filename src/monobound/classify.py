@@ -2,9 +2,11 @@
 irreducibility, monotonicity (nonnegative inverse), and two
 sufficient-condition certificates for monotonicity.  Irreducibility reads
 the sparsity graph of the exact nonzeros.  Every monotonicity verdict,
-both certificates' included, reads the inverse with the one fixed slack
-:data:`MONOTONE_RTOL` (defined in :mod:`linalg`, whose block inverse reads
-it too, and exported here)."""
+both certificates' included, is the package's one verdict on the inverse,
+:class:`MonotoneCheck` from :func:`linalg._monotone_check` with the one
+fixed slack :data:`MONOTONE_RTOL`.  All three live in :mod:`linalg`, next
+to the inverse whose block path reads the same verdict, and are exported
+here."""
 
 from __future__ import annotations
 
@@ -21,28 +23,18 @@ from .errors import (
     ZeroDiagonal,
 )
 from .graphdist import _offdiag_mask, _reach_powers
-from .linalg import MONOTONE_RTOL, _is_z_pattern, _window_scale, as_square_matrix, inverse
+from .linalg import (
+    MONOTONE_RTOL,
+    MonotoneCheck,
+    _is_z_pattern,
+    _monotone_check,
+    _window_scale,
+    as_square_matrix,
+    inverse,
+)
 
 #: Absolute slack on row/column sums for the doubly-stochastic test.
 DEFAULT_QDS_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MonotoneCheck:
-    """Outcome of the inverse-nonnegativity test.
-
-    ``location`` and ``value`` witness the smallest inverse entry (0-based,
-    first in row-major order); both are None when the matrix is singular.
-    The object is truthy exactly when the matrix is monotone.
-    """
-
-    monotone: bool
-    location: tuple[int, int] | None
-    value: float | None
-    singular: bool = False
-
-    def __bool__(self) -> bool:
-        return self.monotone
 
 
 def is_monotone(a) -> MonotoneCheck:
@@ -63,15 +55,6 @@ def _monotone_inverse(a) -> tuple[MonotoneCheck, np.ndarray | None]:
     except SingularMatrix:
         return MonotoneCheck(monotone=False, location=None, value=None, singular=True), None
     return _monotone_check(inv), inv
-
-
-def _monotone_check(inv: np.ndarray) -> MonotoneCheck:
-    """Core of :func:`is_monotone` for an already computed inverse."""
-    flat = int(np.argmin(inv))
-    location = (flat // inv.shape[0], flat % inv.shape[0])
-    value = float(inv[location])
-    slack = MONOTONE_RTOL * max(float(inv.max()), -value)
-    return MonotoneCheck(monotone=value >= -slack, location=location, value=value)
 
 
 def sigma_vector(a) -> np.ndarray:

@@ -224,16 +224,8 @@ def render_plain(report: dict) -> str:
     if "classification" in report:
         c = report["classification"]
         lines.append("  classification:")
-        for key in (
-            "is_z_matrix",
-            "is_m_matrix",
-            "is_monotone",
-            "is_strictly_diag_dominant",
-            "is_irreducibly_diag_dominant",
-            "is_irreducible",
-            "is_quasi_doubly_stochastic",
-        ):
-            lines.append(f"    {key:<32} {_fmt(c[key])}")
+        # The flags are the report's boolean entries, in its order.
+        lines.extend(f"    {key:<32} {_fmt(v)}" for key, v in c.items() if isinstance(v, bool))
         lines.append("    sigma: " + " ".join(_fmt(x) for x in c["sigma"]))
         lines.append("    strict rows: " + (" ".join(str(i) for i in c["strict_set"]) or "none"))
         w = c["monotone_witness"]

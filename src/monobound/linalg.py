@@ -1,4 +1,8 @@
-"""Dense linear algebra: input validation and the inverse.
+"""Dense linear algebra: input validation, the inverse, and the package's
+one monotonicity verdict on an inverse (:func:`_monotone_check`: the
+smallest entry is at least -MONOTONE_RTOL * max|inverse|, a finite
+maximum), which sits beside :func:`inverse` because the block path's leaf
+guard is that verdict.
 
 :func:`inverse` is the one inverse of the package, so every monotonicity
 verdict comes from one engine, except the threshold search's rank-one
@@ -19,6 +23,7 @@ The determinant-based bounds (:func:`bounds.sigma_via_determinant`,
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +33,8 @@ from .errors import DimensionMismatch, SingularMatrix
 SINGULARITY_RTOL = 1e-14
 
 #: Slack for inverse nonnegativity: entries down to
-#: -MONOTONE_RTOL * max|inverse entry| still count as nonnegative.
+#: -MONOTONE_RTOL * max|inverse entry| still count as nonnegative in
+#: :func:`_monotone_check`, the one verdict.
 MONOTONE_RTOL = 1e-10
 
 #: Blocks of at most this order are the leaves of :func:`_block_inverse`,
@@ -91,6 +97,36 @@ def _column_span(b: np.ndarray) -> slice:
     return slice(first, flags.size - int(np.argmax(flags[::-1])))
 
 
+@dataclass(frozen=True)
+class MonotoneCheck:
+    """Outcome of the inverse-nonnegativity test.
+
+    ``location`` and ``value`` witness the smallest inverse entry (0-based,
+    first in row-major order); both are None when the matrix is singular.
+    The object is truthy exactly when the matrix is monotone.
+    """
+
+    monotone: bool
+    location: tuple[int, int] | None
+    value: float | None
+    singular: bool = False
+    # max|Z| as the verdict read it, for the callers that scale by it.
+    _z_max: float | None = field(default=None, repr=False, compare=False)
+
+    def __bool__(self) -> bool:
+        return self.monotone
+
+
+def _monotone_check(inv: np.ndarray) -> MonotoneCheck:
+    """The package's one monotonicity verdict on an inverse: its smallest
+    entry is at least -MONOTONE_RTOL * max|inv|, and max|inv| is finite."""
+    location = divmod(int(np.argmin(inv)), inv.shape[0])
+    value = float(inv[location])
+    z_max = max(float(inv.max()), -value)
+    monotone = math.isfinite(z_max) and value >= -MONOTONE_RTOL * z_max
+    return MonotoneCheck(monotone, location, value, _z_max=z_max)
+
+
 def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
     """Write the inverse of the Z-matrix ``a`` into ``out`` by 2x2 block
     elimination without pivoting, splitting at k = n // 2:
@@ -100,12 +136,12 @@ def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
 
     with X and S^-1 by recursion.  A block of order at most
     :data:`BLOCK_LEAF_ORDER` is a leaf, one LAPACK inverse, and every leaf
-    inverse must be finite and entrywise at least -MONOTONE_RTOL times its
-    largest entry; else this raises ``LinAlgError``, as it does for a leaf
-    LAPACK finds singular.  When every leaf passes, each S is again a
-    Z-matrix, every product sums terms of one sign, and elimination without
-    pivoting on an M-matrix has no growth (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 9), so nothing cancels.
+    inverse must pass the package's monotonicity verdict
+    (:func:`_monotone_check`); else this raises ``LinAlgError``, as it does
+    for a leaf LAPACK finds singular.  When every leaf passes, each S is
+    again a Z-matrix, every product sums terms of one sign, and elimination
+    without pivoting on an M-matrix has no growth (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 9), so nothing cancels.
 
     Each product runs only over the spans of rows and columns that hold a
     nonzero of A21 (r, cc) and of A12 (rr, c): C is zero outside rows r and
@@ -122,14 +158,14 @@ def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
     n = a.shape[0]
     if n <= BLOCK_LEAF_ORDER:
         out[...] = np.linalg.inv(a)
-        low, high = float(out.min()), float(out.max())
-        if not (math.isfinite(high) and low >= -MONOTONE_RTOL * high):
+        if not _monotone_check(out):
             raise np.linalg.LinAlgError("leaf inverse is not nonnegative")
         return
     k = n // 2
     a12, a21 = a[:k, k:], a[k:, :k]
-    rr, c = _column_span(a12.T), _column_span(a12)
-    r, cc = _column_span(a21.T), _column_span(a21)
+    # The columns of each block are scanned only over its rows' span.
+    rr, r = _column_span(a12.T), _column_span(a21.T)
+    c, cc = _column_span(a12[rr]), _column_span(a21[r])
     x, s_inv, lower = out[:k, :k], out[k:, k:], out[k:, :k]
     _block_inverse(a[:k, :k], x)
     # C (rows r only) and X A12 (columns c only) are negated in place, fresh

@@ -82,6 +82,28 @@ def matmul_shapes(fn):
     return shapes
 
 
+def column_span_scans(module, fn):
+    """(block, span) for each call of ``module._column_span`` that ``fn()``
+    makes, in call order, with a copy of the block it scanned."""
+    scans, column_span = [], module._column_span
+
+    def spy(b):
+        span = column_span(b)
+        scans.append((b.copy(), span))
+        return span
+
+    with mock.patch.object(module, "_column_span", spy):
+        fn()
+    return scans
+
+
+def whole_span(b):
+    """Reference for linalg._column_span: the shortest slice of the columns
+    of ``b`` that holds every nonzero, from a pass over all of ``b``."""
+    cols = np.flatnonzero(b.any(axis=0))
+    return slice(int(cols[0]), int(cols[-1]) + 1) if cols.size else slice(0, 0)
+
+
 def random_symmetric_sdd_m_matrix(rng, n):
     """Symmetric variant of :func:`random_sdd_m_matrix` (hence positive
     definite)."""

@@ -11,11 +11,13 @@ from conftest import (
     NOT_MONOTONE_WITHIN_SLACK,
     SAMPLE_A,
     SAMPLE_A_VSTAR_UNIFORM,
+    column_span_scans,
     grid_laplacian,
     matmul_shapes,
     random_nonneg_perturbation,
     random_sdd_m_matrix,
     random_tridiagonal_m_matrix,
+    whole_span,
 )
 
 from monobound import (
@@ -165,6 +167,38 @@ def test_zero_perturbation_is_infinite(sample_a, probes):
     pair = buffoni._validated_pair(sample_a, zero)
     assert buffoni._bisect_from(pair, np.inf, 1e-9) == np.inf
     assert not probes
+
+
+def test_iteration_stops_where_w_vanishes():
+    # A is monotone but not a Z-matrix, so a zero E takes the iteration,
+    # whose first W = Z E Z is zero: no ratio is usable, and v* is infinite
+    # after no step.
+    a, zero = np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
+    trace = buffoni_vstar(a, zero)
+    assert trace == _iterate(a, zero)
+    assert (trace.status, trace.iteration_count, trace.vstar) == ("diverged_infinite", 0, math.inf)
+    assert bisection_vstar(a, zero) == math.inf
+
+
+def test_singular_bracket_end_narrows_by_the_midpoint(monkeypatch):
+    # det(A + v E) = 9 - (v - 1)^2 and (A + v E)^-1 >= 0 exactly for
+    # 0 <= v <= 1.  The first probe, h / n = 4, is exactly singular, so the
+    # first narrowing probe has no inverse at hi and is the midpoint.
+    a = np.array([[8.0, -1.0], [-1.0, 1.125]])
+    e = np.array([[0.0, 1.0], [1.0, 0.0]])
+    points, itp_point = [], buffoni._itp_point
+
+    def spy(lo, hi, at_lo, at_hi, width, reach):
+        v = itp_point(lo, hi, at_lo, at_hi, width, reach)
+        points.append((at_hi[1] is None, v == 0.5 * (lo + hi)))
+        return v
+
+    monkeypatch.setattr(buffoni, "_itp_point", spy)
+    assert bisection_vstar(a, e) == pytest.approx(1.0, abs=buffoni.BISECT_ABS_TOL)
+    assert points[0] == (True, True)
+    trace = buffoni_vstar(a, e)
+    assert trace.status == "converged"
+    assert trace.vstar == pytest.approx(1.0, rel=1e-12)
 
 
 def test_identity_plus_ones_starts_broken():
@@ -864,6 +898,15 @@ def _perturbations(n):
         e.flat[int(np.argmax(e > 0.0))] *= 1.0 + 2e-16
         nudged.append(e)
     return rank_one + nudged + [opposite]
+
+
+@pytest.mark.parametrize("n", [5, 64, 225])
+def test_rank_one_factors_scan_columns_only_over_the_rows_of_e(n):
+    for e in _perturbations(n):
+        scans = column_span_scans(buffoni, lambda: buffoni._rank_one_factors(e))
+        (e_t, rows), (scanned, cols) = scans
+        assert rows == whole_span(e.T) and cols == whole_span(e)
+        assert np.array_equal(e_t, e.T) and np.array_equal(scanned, e[rows])
 
 
 @pytest.mark.parametrize("n", [5, 64, 225])

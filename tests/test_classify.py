@@ -9,10 +9,13 @@ from conftest import (
     random_symmetric_sdd_m_matrix,
 )
 
+import monobound
 from monobound import (
+    DimensionMismatch,
     NotSymmetric,
     OrderOutOfRange,
     ZeroDiagonal,
+    classify,
     classify_matrix,
     gavrilov_check,
     inverse,
@@ -23,6 +26,7 @@ from monobound import (
     is_quasi_doubly_stochastic,
     is_strictly_diag_dominant,
     is_z_matrix,
+    linalg,
     main_bound,
     sigma_vector,
     strict_dominance_set,
@@ -54,6 +58,13 @@ def test_sigma_near_the_float_range_ends(k):
 def test_sigma_zero_diagonal():
     with pytest.raises(ZeroDiagonal):
         sigma_vector(np.array([[0.0, 1.0], [1.0, 1.0]]))
+
+
+def test_classify_exports_the_verdict_of_linalg():
+    # One verdict: every import path names the objects defined in linalg.
+    assert monobound.MonotoneCheck is classify.MonotoneCheck is linalg.MonotoneCheck
+    assert classify._monotone_check is linalg._monotone_check
+    assert classify.MONOTONE_RTOL is linalg.MONOTONE_RTOL
 
 
 def test_monotone_sample(sample_a):
@@ -150,6 +161,13 @@ def test_kuttler_rejects_non_dominating_certificate(sample_a):
     m = sample_a.copy()
     m[0, 0] -= 1.0
     assert not verify_kuttler(sample_a, m, np.ones(3))
+
+
+def test_kuttler_rejects_mismatched_shapes(sample_a):
+    with pytest.raises(DimensionMismatch, match="certificate shape"):
+        verify_kuttler(sample_a, np.eye(2), np.ones(3))
+    with pytest.raises(DimensionMismatch, match="length-3 vector"):
+        verify_kuttler(sample_a, sample_a, np.ones(2))
 
 
 def test_kuttler_requires_strictly_positive_product():

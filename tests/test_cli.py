@@ -308,6 +308,53 @@ def test_vstar_bisect_on_a_huge_scale(capsys, tmp_path, method):
         assert section["discrepancy"] <= 1e-8 * value
 
 
+# Z = A^-1 holds an exact -2, but its largest entry, 1e12, puts -2 inside the
+# slack MONOTONE_RTOL * max|Z| = 100, so the one verdict calls A monotone.
+SLACK_HIDES_A_NEGATIVE_ENTRY = np.array([[1e-12, 0.0, 0.0], [-1e-12, 1.0, -2.0], [0.0, -1.0, 1.0]])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the slack is relative to max|Z|, so an exact -2 beside a 1e12 "
+    "entry passes the verdict; classify reports is_m_matrix and is_monotone true",
+)
+def test_classify_rejects_a_negative_entry_hidden_by_the_slack(capsys, tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(format_dense(SLACK_HIDES_A_NEGATIVE_ENTRY))
+    flags = run_json(capsys, ["classify", str(path)])["classification"]
+    assert not flags["is_m_matrix"] and not flags["is_monotone"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="A passes validation inside the slack, so vstar --method both "
+    "exits 0 with Buffoni converged at 0.2",
+)
+def test_vstar_refuses_a_negative_entry_hidden_by_the_slack(capsys, tmp_path):
+    a, ones = tmp_path / "a.txt", tmp_path / "ones.txt"
+    a.write_text(format_dense(SLACK_HIDES_A_NEGATIVE_ENTRY))
+    ones.write_text(format_dense(np.ones((3, 3))))
+    rc, out, _ = run(capsys, ["vstar", str(a), str(ones), "--method", "both"])
+    assert (rc, out) == (3, "")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the CLI's bisection stops at the absolute width BISECT_ABS_TOL, "
+    "so it reports 5.0009e-10 where Buffoni finds v* = 9.2308e-14",
+)
+def test_vstar_searches_agree_below_the_absolute_tolerance(capsys, tmp_path):
+    a, ones = tmp_path / "a.txt", tmp_path / "ones.txt"
+    a.write_text(format_dense(1e-12 * SAMPLE_A))
+    ones.write_text(format_dense(np.ones((3, 3))))
+    section = run_json(capsys, ["vstar", str(a), str(ones), "--method", "both"])["vstar"]
+    bisection, ratio = section["bisection"]["value"], section["buffoni"]["value"]
+    assert abs(bisection - ratio) <= 1e-6 * ratio
+
+
 def test_bounds_zero_diagonal_bouchon(capsys, tmp_path):
     path = tmp_path / "swap.txt"
     path.write_text("2\n0 1\n1 0\n")
@@ -708,6 +755,26 @@ classify report
     witness: singular matrix
 """,
     ),
+    (
+        # The flags take their order from the report; "yes" and "no" are
+        # mixed, and the witness of a nonsingular matrix is its smallest
+        # inverse entry.
+        ["classify", "not_z.txt"],
+        """\
+classify report
+  classification:
+    is_z_matrix                      no
+    is_m_matrix                      no
+    is_monotone                      no
+    is_strictly_diag_dominant        yes
+    is_irreducibly_diag_dominant     yes
+    is_irreducible                   yes
+    is_quasi_doubly_stochastic       no
+    sigma: 0.3 0.2
+    strict rows: 1 2
+    min inverse entry -0.3191489362 at (1, 2)
+""",
+    ),
 ]
 
 
@@ -722,6 +789,7 @@ classify report
         "tridiag",
         "laplacian",
         "classify-singular",
+        "classify-nonsingular",
     ],
 )
 def test_plain_rendering(capsys, monkeypatch, tmp_path, argv, text):

@@ -6,8 +6,11 @@ or block elimination for a Z-matrix above ``linalg.BLOCK_LEAF_ORDER``) is
 compared with, beside the 50-digit mpmath oracle of
 ``test_high_precision.py``.  ``_dense_block_inverse`` is the block
 elimination with every product over whole blocks, the reference for the
-block path's products over the nonzero spans."""
+block path's products over the nonzero spans.  ``_leaf_guard_rule`` and
+``_classify_rule`` are the two monotonicity rules that
+``linalg._monotone_check`` replaced, kept as references for it."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -16,11 +19,15 @@ import pytest
 from conftest import (
     SAMPLE_A,
     SAMPLE_A_INV_4DP,
+    column_span_scans,
     grid_laplacian,
     matmul_shapes,
     random_sdd_m_matrix,
     random_well_conditioned,
+    whole_span,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monobound import DimensionMismatch, SingularMatrix, inverse, is_monotone, linalg
 
@@ -94,6 +101,8 @@ def test_singular_raises():
 def test_rejects_nonsquare_and_nonfinite():
     with pytest.raises(DimensionMismatch):
         inverse(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch, match="at least one row"):
+        inverse(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         inverse(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
@@ -122,6 +131,64 @@ SINGULAR_3X3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
 def test_inverse_rejects_singular_at_any_scale(scale):
     with pytest.raises(SingularMatrix, match="singular"):
         inverse(scale * SINGULAR_3X3)
+
+
+def _leaf_guard_rule(inv):
+    """Reference: the block inverse's own leaf guard before it called the
+    shared verdict, a finite largest entry and the smallest at least
+    -MONOTONE_RTOL times it."""
+    low, high = float(inv.min()), float(inv.max())
+    return math.isfinite(high) and low >= -linalg.MONOTONE_RTOL * high
+
+
+def _classify_rule(inv):
+    """Reference: classify's verdict before it moved beside the inverse,
+    (monotone, location, value), with no test that max|Z| is finite."""
+    flat = int(np.argmin(inv))
+    location = (flat // inv.shape[0], flat % inv.shape[0])
+    value = float(inv[location])
+    slack = linalg.MONOTONE_RTOL * max(float(inv.max()), -value)
+    return value >= -slack, location, value
+
+
+_AWKWARD_ENTRIES = [
+    0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300,
+    1e-10, -1e-10, 1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+@st.composite
+def verdict_inputs(draw):
+    """Square arrays of negative, zero, subnormal, huge, infinite and NaN
+    entries; half of them nonnegative but for one entry near the slack."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from(_AWKWARD_ENTRIES), st.floats())
+    z = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        np.abs(z, out=z)
+        top = float(z.max())
+        if math.isfinite(top):
+            ratio = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0]))
+            z.flat[draw(st.integers(0, n * n - 1))] = -ratio * linalg.MONOTONE_RTOL * top
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(verdict_inputs())
+def test_monotone_check_agrees_with_the_two_rules_it_replaced(z):
+    check = linalg._monotone_check(z)
+    assert check.monotone == _leaf_guard_rule(z)
+    monotone, location, value = _classify_rule(z)
+    assert check.location == location
+    assert np.array_equal(check.value, value, equal_nan=True)
+    z_max = max(float(z.max()), -float(z.min()))
+    assert np.array_equal(check._z_max, z_max, equal_nan=True)
+    # classify's old rule took an infinite max|Z| as an infinite slack; the
+    # verdict reports it as not monotone, as the leaf guard did.
+    if math.isinf(z_max):
+        assert not check.monotone
+    else:
+        assert check.monotone == monotone
 
 
 def test_is_monotone_reports_singular():
@@ -348,6 +415,31 @@ def test_block_products_run_over_the_nonzero_spans(n):
     # A block diagonal matrix: the first split's six products are empty.
     diagonal, _ = _sparse_m_matrices(n)[0]
     assert _inner_dimensions(diagonal).count(0) == 6
+
+
+@pytest.mark.parametrize("n", [65, 128, 225])
+def test_each_span_scans_its_block_only_over_the_rows_that_hold_a_nonzero(n):
+    # Per split, the rows of A12 (rr) and of A21 (r) come from whole blocks,
+    # then the columns of A12 (c) from its rows rr alone and those of A21
+    # (cc) from its rows r.  Each span is the one a pass over the whole block
+    # finds, on empty (block diagonal), partial (grids) and full (dense)
+    # blocks.
+    cases = [a for a, _ in _sparse_m_matrices(n)]
+    cases.append(random_sdd_m_matrix(np.random.default_rng(n), n))
+    first_split = []
+    for a in cases:
+        scans = column_span_scans(linalg, lambda: linalg._block_inverse(a, np.empty_like(a)))
+        assert len(scans) == 4 * _splits(n)
+        for i in range(0, len(scans), 4):
+            (a12_t, rr), (a21_t, r), (a12_rows, c), (a21_rows, cc) = scans[i : i + 4]
+            blocks = ((a12_t.T, rr, a12_rows, c), (a21_t.T, r, a21_rows, cc))
+            for block, rows, scanned, cols in blocks:
+                assert rows == whole_span(block.T) and cols == whole_span(block)
+                assert np.array_equal(scanned, block[rows])
+        first_split.append([span for _, span in scans[:4]])
+    k = n // 2
+    assert first_split[0] == [slice(0, 0)] * 4
+    assert first_split[-1] == [slice(0, k), slice(0, n - k), slice(0, n - k), slice(0, k)]
 
 
 def _z_not_m(rng, n):
