@@ -8,6 +8,11 @@ All bound routines report their hypotheses, computed once per matrix
 formulas can be inspected on exploratory inputs; only structural
 impossibilities (wrong shape, singular matrix, broken bandwidth) raise.
 The numerical floors are fixed module constants.
+
+Each bound builds the matrix's record once (:func:`linalg._analyse`) and
+hands it to the statistics and to the predicates of :mod:`classify`, so
+the inverse, its verdict, the Z flag and the reachability closure are each
+found once, whichever bounds a caller takes from the same record.
 """
 
 from __future__ import annotations
@@ -19,26 +24,20 @@ import numpy as np
 
 from .classify import (
     _irreducible_dominance_rule,
-    _m_matrix_rule,
-    _monotone_check,
-    is_irreducible,
     is_m_matrix,
-    is_monotone,
     is_quasi_doubly_stochastic,
-    is_z_matrix,
     sigma_vector,
 )
 from .errors import (
     BandwidthViolation,
     IndexOutOfRange,
     NotTridiagonal,
-    SingularMatrix,
     SingularSubmatrix,
     ZeroDiagonal,
     ZeroMarginal,
 )
 from .graphdist import bouchon_M
-from .linalg import _unit_scale, as_square_matrix, inverse
+from .linalg import _analyse, _unit_scale, as_square_matrix, inverse
 
 #: Row/column sums of the inverse at or below this times the largest one in
 #: magnitude are rejected as zero marginals (the ratios would blow up).
@@ -101,7 +100,8 @@ class BouchonQuantities:
 
 
 def inverse_stats(a) -> InverseStats:
-    """Invert ``a`` and collect marginal sums, total, and Buffoni number.
+    """Invert ``a`` (a matrix or its record) and collect marginal sums,
+    total, and Buffoni number.
 
     Raises :class:`SingularMatrix` for singular input and
     :class:`ZeroMarginal` when a row or column sum of the inverse is
@@ -159,11 +159,11 @@ def sigma_via_determinant(a) -> float:
     ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.  A + J may be singular
     (the total is then exactly -1).
     """
-    m = as_square_matrix(a)
-    inverse(m)  # raises SingularMatrix under the one rule
-    scale = _unit_scale(float(max(m.max(), -m.min())))
-    sign, logdet = np.linalg.slogdet(m * scale)
-    shifted_sign, shifted_logdet = np.linalg.slogdet(m * scale + 1.0)
+    record = _analyse(a)
+    inverse(record)  # raises SingularMatrix under the one rule
+    scale = _unit_scale(record.a_max)
+    sign, logdet = np.linalg.slogdet(record.m * scale)
+    shifted_sign, shifted_logdet = np.linalg.slogdet(record.m * scale + 1.0)
     ratio = _signed_exp(float(sign * shifted_sign), float(shifted_logdet - logdet))
     return (ratio - 1.0) * scale
 
@@ -176,14 +176,15 @@ def _formula_value(numerator: float, denominator: float) -> float:
     return max(numerator / denominator, 0.0)
 
 
-def _hypotheses(a, monotone) -> tuple[np.ndarray | None, bool]:
-    """What the bounds' preconditions read, once per matrix: the dominance
-    ratios (None with a zero diagonal entry) and the M-matrix verdict."""
+def _hypotheses(record) -> tuple[np.ndarray | None, bool]:
+    """What the bounds' preconditions read, once per matrix record: the
+    dominance ratios (None with a zero diagonal entry) and the M-matrix
+    verdict."""
     try:
-        sigma = sigma_vector(a)
+        sigma = sigma_vector(record)
     except ZeroDiagonal:
         sigma = None
-    return sigma, _m_matrix_rule(is_z_matrix(a), monotone)
+    return sigma, is_m_matrix(record)
 
 
 def _preconditions(sigma, m_matrix: bool, kind: str, dominant) -> tuple[bool, str]:
@@ -207,8 +208,8 @@ def main_bound(a) -> BoundResult:
     for the uniform perturbation: it equals the exact threshold for E
     all-ones.
     """
-    stats = inverse_stats(a)
-    return _main_bound(stats, _hypotheses(a, lambda: _monotone_check(stats.inv)))
+    record = _analyse(a)
+    return _main_bound(inverse_stats(record), _hypotheses(record))
 
 
 def _main_bound(stats: InverseStats, hypotheses) -> BoundResult:
@@ -222,17 +223,13 @@ def corollary_bound(a) -> BoundResult:
     """Specialized componentwise bound m / (1 - m * n) from the smallest
     inverse entry alone; for quasi-doubly-stochastic M-matrices it coincides
     with :func:`main_bound`."""
-    m = as_square_matrix(a)
-    witness = _monotone_check(inverse(m))
-    return _corollary_bound(m, witness.value, _m_matrix_rule(is_z_matrix(m), lambda: witness))
-
-
-def _corollary_bound(m: np.ndarray, min_entry: float, m_matrix: bool) -> BoundResult:
-    """:func:`corollary_bound` from the smallest inverse entry and M-matrix test."""
-    value = _formula_value(min_entry, 1.0 - min_entry * m.shape[0])
-    if not m_matrix:
+    record = _analyse(a)
+    inverse(record)  # raises SingularMatrix under the one rule
+    min_entry = record.check.value
+    value = _formula_value(min_entry, 1.0 - min_entry * record.m.shape[0])
+    if not is_m_matrix(record):
         ok, detail = False, "not a (nonsingular) M-matrix"
-    elif not is_quasi_doubly_stochastic(m):
+    elif not is_quasi_doubly_stochastic(record):
         ok, detail = False, "M-matrix but row/column sums differ from one"
     else:
         ok, detail = True, "quasi-doubly-stochastic M-matrix"
@@ -262,16 +259,17 @@ def _bouchon_coefficient(eta: float, distance_max: int) -> float:
 
 
 def bouchon_quantities(a, e_pattern) -> BouchonQuantities:
-    """Assemble the ingredients of the graph-distance bound.
+    """Assemble the ingredients of the graph-distance bound for ``a`` (a
+    matrix or its record).
 
     Propagates :class:`DimensionMismatch`, :class:`EmptyPerturbation` and
     :class:`UnreachablePair` from :func:`bouchon_M`.
     """
-    m = as_square_matrix(a)
-    distance_max = bouchon_M(m, e_pattern)
-    eta = _eta(m)
+    record = _analyse(a)
+    distance_max = bouchon_M(record, e_pattern)
+    eta = _eta(record.m)
     return BouchonQuantities(
-        min_diag=float(np.min(np.abs(np.diagonal(m)))),
+        min_diag=float(np.min(np.abs(np.diagonal(record.m)))),
         eta=eta,
         distance_max=distance_max,
         coefficient=_bouchon_coefficient(eta, distance_max),
@@ -286,14 +284,14 @@ def bouchon_bound(a, e_pattern) -> BoundResult:
     is strictly below the value, A is an irreducibly diagonally dominant
     M-matrix, and E has nonnegative row sums.
     """
-    m = as_square_matrix(a)
+    record = _analyse(a)
     e = as_square_matrix(e_pattern)
-    quantities = bouchon_quantities(m, e)
-    return _bouchon_bound(m, e, quantities, _hypotheses(m, lambda: is_monotone(m)))
+    quantities = bouchon_quantities(record, e)
+    return _bouchon_bound(record, e, quantities, _hypotheses(record))
 
 
 def _bouchon_bound(
-    m: np.ndarray, e: np.ndarray, quantities: BouchonQuantities, hypotheses
+    record, e: np.ndarray, quantities: BouchonQuantities, hypotheses
 ) -> BoundResult:
     """:func:`bouchon_bound` from precomputed quantities and hypotheses; a zero
     diagonal gives 0.0, also when eta = 0 makes the coefficient infinite."""
@@ -301,7 +299,7 @@ def _bouchon_bound(
     ok, detail = _preconditions(
         *hypotheses,
         "irreducibly",
-        lambda s: _irreducible_dominance_rule(s, lambda: is_irreducible(m)),
+        lambda s: _irreducible_dominance_rule(s, record),
     )
     if ok and not np.all(e.sum(axis=1) >= 0.0):
         ok, detail = False, "perturbation pattern has a negative row sum"
@@ -353,13 +351,11 @@ def tridiagonal_bound(a, l: int, k: int) -> BoundResult:
         chain = -m[np.arange(k, l) + 1, np.arange(k, l)]
         lo, hi = k + 1, l - 1
     block = m[lo : hi + 1, lo : hi + 1]
-    try:
-        inverse(block)
-    except SingularMatrix:
+    if _analyse(block).check.singular:
         raise SingularSubmatrix(
             f"principal block {lo}..{hi} strictly between the perturbed entry "
             "is singular"
-        ) from None
+        )
     if not np.all(chain):
         # A zero chain entry gives 0.0, never -0.0, and no log(0).
         value = 0.0

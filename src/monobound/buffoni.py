@@ -10,8 +10,8 @@ proves, when the margin allows, that the predicate on the candidate gives
 the predicate on the exact inverse (:func:`_certified_verdict`).  A search
 forms one residual, that of A^-1, with one matrix product
 (:func:`_search_residual`); each probe then bounds its own residual from it
-in O(1) (:func:`_probe_residual`).  Otherwise the probe inverts A + v E by
-:func:`linalg.inverse` as for a general E.  Every term of the bound is
+in O(1) (:func:`_probe_residual`).  Otherwise the probe inverts A + v E
+through its record (:func:`linalg._analyse`), as for a general E.  Every term of the bound is
 measured or bounded from the operation that produced it, so the proof holds
 for the matrix whatever the candidate, and the oracle stays independent of
 the closed form.
@@ -27,6 +27,13 @@ verdict, certified or not, is the package's one verdict
 :data:`linalg.MONOTONE_RTOL`) on an inverse or a candidate, and the cap, the
 certificate's slack and the narrowing probes read max|Z| from the verdicts
 they hold rather than from Z.
+
+The base A, each Buffoni iterate and each probe that inverts is one matrix
+record (:func:`linalg._analyse`): its inverse, its verdict or refusal, and
+for A the Z flag that the diagonal-E shortcut reads, are found once.  The
+ratio iteration masks W = Z E Z with the structural pattern of A + E
+(:func:`_ratio_iteration`), so a roundoff-level W entry where W is exactly
+zero cannot end it at a false threshold.
 """
 
 from __future__ import annotations
@@ -37,24 +44,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import _monotone_inverse, is_z_matrix
 from .errors import (
     DimensionMismatch,
     NegativePerturbation,
     NotMonotone,
     SingularIterate,
-    SingularMatrix,
 )
+from .graphdist import _compose, _reach_powers
 from .linalg import (
     BLOCK_LEAF_ORDER,
     MONOTONE_RTOL,
     SINGULARITY_RTOL,
     MonotoneCheck,
+    _analyse,
+    _Analysis,
     _column_span,
     _monotone_check,
     _unit_scale,
     as_square_matrix,
-    inverse,
 )
 
 CONVERGENCE_RTOL = 1e-12
@@ -111,18 +118,18 @@ class _RankOne(NamedTuple):
 
 class _Pair(NamedTuple):
     """A validated pair (A, E) in unit scale and what both threshold searches
-    read from it, each found once: ``m`` = s A and ``pert`` = t E, with s and
-    t the powers of two that bring max|A| and max E into [0.5, 1)
-    (:func:`linalg._unit_scale`); ``z`` = m^-1 and ``check``, the verdict on
-    it that validated m; ``unit`` = t / s, so A + v E is monotone exactly
+    read from it, each found once: ``base``, the record (:func:`linalg._analyse`)
+    of m = s A, and ``pert`` = t E, with s and t the powers of two that bring
+    max|A| and max E into [0.5, 1) (:func:`linalg._unit_scale`); ``z`` = m^-1,
+    read from the record, whose verdict on it validated m and whose Z flag
+    :func:`_buffoni_from` reads; ``unit`` = t / s, so A + v E is monotone exactly
     when m + (v / unit) pert is; ``h`` = max|m| / max pert (math.inf for a
     zero E); the ``cap`` past which both searches report math.inf; and the
     :func:`_rank_one_terms` of E (None unless E is rank one)."""
 
-    m: np.ndarray
+    base: _Analysis
     pert: np.ndarray
     z: np.ndarray
-    check: MonotoneCheck
     unit: float
     h: float
     cap: float
@@ -158,8 +165,8 @@ def _validated_pair(a, e) -> _Pair:
     s = _unit_scale(a_max)
     t = min(max(_unit_scale(e_max), s * 2.0**-1022), s * 2.0**1023)
     unit = t / s
-    m = a * s
-    verdict, z = _monotone_inverse(m)
+    base = _analyse(a * s)
+    z, verdict = base.inverted
     if not verdict:
         raise NotMonotone("base matrix is not monotone")
     pert = e * t
@@ -171,7 +178,7 @@ def _validated_pair(a, e) -> _Pair:
     cap = h * (min(V_CAP, headroom) if headroom > 0.0 else V_CAP)
     cap = min(cap, float(np.finfo(float).max) / unit)
     rank_one = None if factors is None else _rank_one_terms(factors, t, z)
-    return _Pair(m, pert, z, verdict, unit, h, cap, rank_one)
+    return _Pair(base, pert, z, unit, h, cap, rank_one)
 
 
 def buffoni_vstar(a, e) -> BuffoniTrace:
@@ -207,7 +214,7 @@ def _buffoni_from(pair: _Pair) -> BuffoniTrace:
     if pair.rank_one is not None:
         return _rank_one_vstar(pair)
     pert = pair.pert
-    if np.count_nonzero(pert) == np.count_nonzero(np.diagonal(pert)) and is_z_matrix(pair.m):
+    if np.count_nonzero(pert) == np.count_nonzero(np.diagonal(pert)) and pair.base.z_matrix:
         return BuffoniTrace((), "diverged_infinite", math.inf)
     return _ratio_iteration(pair)
 
@@ -302,12 +309,27 @@ def _rank_one_vstar(pair: _Pair) -> BuffoniTrace:
 
 def _ratio_iteration(pair: _Pair) -> BuffoniTrace:
     """The iteration of :func:`buffoni_vstar` on the unit-scaled pair from
-    v = 0, stopping past the cap; steps and result are in the pair's units."""
-    m, pert, z, unit = pair.m, pair.pert, pair.z, pair.unit
+    v = 0, stopping past the cap; steps and result are in the pair's units.
+
+    W is set to 0 outside P = C [pert != 0] C, found once per call, with C
+    the reachability closure of the sparsity graph of m + pert.  For every
+    v the graph of m + v pert lies in that of m + pert, and the inverse of
+    a matrix vanishes from i to j when its graph has no path from i to j
+    (it is block triangular in the graph's strong components), so W = Z
+    pert Z is exactly zero outside P.  What roundoff leaves there could
+    only meet an exact zero of Z and stop the iteration at a false
+    threshold.  For an M-matrix the inverse is positive exactly on C, so P
+    is the pattern of W itself (Berman and Plemmons, Nonnegative Matrices
+    in the Mathematical Sciences, 1994, ch. 6)."""
+    m, pert, z, unit = pair.base.m, pair.pert, pair.z, pair.unit
+    support = pert != 0.0
+    closure = _reach_powers(support | (m != 0.0))[-1]
+    outside = ~_compose(_compose(closure, support), closure)
     steps: list[IterationStep] = []
     v = 0.0
     while True:
         w = z @ pert @ z
+        np.copyto(w, 0.0, where=outside)
         usable = _usable_denominators(w, v * unit)
         if not usable.any():
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
@@ -320,10 +342,10 @@ def _ratio_iteration(pair: _Pair) -> BuffoniTrace:
             return BuffoniTrace(tuple(steps), "diverged_infinite", math.inf)
         if len(steps) == MAX_ITER:
             return BuffoniTrace(tuple(steps), "max_iterations", v * unit)
-        try:
-            z = inverse(_perturbed(m, pert, v))
-        except SingularMatrix as exc:
-            raise SingularIterate(f"iterate at v={v * unit!r} is singular: {exc}") from None
+        z, check = _analyse(_perturbed(m, pert, v)).inverted
+        if check.singular:
+            # z is then the SingularMatrix that refused the iterate.
+            raise SingularIterate(f"iterate at v={v * unit!r} is singular: {z}")
 
 
 def bisection_vstar(a, e, *, abs_tol: float = BISECT_ABS_TOL) -> float:
@@ -373,7 +395,8 @@ def _checked_inverse(
             return verdict, candidate
         # Freed before the inverse takes its own arrays.
         del candidate
-    return _monotone_inverse(_perturbed(pair.m, pair.pert, v))
+    inv, verdict = _analyse(_perturbed(pair.base.m, pair.pert, v)).inverted
+    return verdict, None if verdict.singular else inv
 
 
 def _candidate(pair: _Pair, v: float) -> np.ndarray:
@@ -517,7 +540,7 @@ def _search_residual(pair: _Pair) -> _SearchResidual:
     underflow per entry.  So p, q and s need not be the ones their products
     give: a wrong term widens the bound of every probe, which then inverts.
     ||pert|| and max pert are bounded from pert = u w^T + H in O(n)."""
-    m, z = pair.m, pair.z
+    m, z = pair.base.m, pair.z
     u, w, p, q, s, h = pair.rank_one
     n = m.shape[0]
     base = _residual_bound(m, z)
@@ -601,7 +624,7 @@ def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
     # lo is always the last monotone probe (or 0, before one is made) and hi
     # the last failing one, so these are the verdicts and the matrices tested
     # at the bracket ends, the matrix None at a singular hi.
-    last = {True: (pair.check, pair.z), False: (None, None)}
+    last = {True: (pair.base.check, pair.z), False: (None, None)}
     residual = None if pair.rank_one is None else _search_residual(pair)
 
     def monotone_at(v: float) -> bool:
@@ -612,7 +635,7 @@ def _bisect_from(pair: _Pair, seed: float, abs_tol: float) -> float:
     if 0.0 < seed < math.inf:
         step = abs_tol
     else:
-        seed, step = 0.0, pair.h / pair.m.shape[0]
+        seed, step = 0.0, pair.h / pair.base.m.shape[0]
     if seed == 0.0 or monotone_at(seed):
         lo, hi = seed, seed + step
         while hi <= cap and monotone_at(hi):

@@ -6,7 +6,14 @@ both certificates' included, is the package's one verdict on the inverse,
 :class:`MonotoneCheck` from :func:`linalg._monotone_check` with the one
 fixed slack :data:`MONOTONE_RTOL`.  All three live in :mod:`linalg`, next
 to the inverse whose block path reads the same verdict, and are exported
-here."""
+here.
+
+Each predicate reads the matrix's record (:func:`linalg._analyse`): its Z
+flag, its inverse and verdict, and its reachability closure, each found
+once per record.  A predicate takes a matrix or its record, so
+:func:`classify_matrix` and the bounds hand one record to every predicate
+they apply, and the M-matrix rule (:func:`is_m_matrix`: the Z flag, then
+the verdict) and the irreducibility rule are each one function."""
 
 from __future__ import annotations
 
@@ -19,18 +26,15 @@ from .errors import (
     DimensionMismatch,
     NotSymmetric,
     OrderOutOfRange,
-    SingularMatrix,
     ZeroDiagonal,
 )
-from .graphdist import _offdiag_mask, _reach_powers
 from .linalg import (
     MONOTONE_RTOL,
     MonotoneCheck,
-    _is_z_pattern,
+    _analyse,
     _monotone_check,
     _window_scale,
     as_square_matrix,
-    inverse,
 )
 
 #: Absolute slack on row/column sums for the doubly-stochastic test.
@@ -44,17 +48,7 @@ def is_monotone(a) -> MonotoneCheck:
     are attributed to roundoff and accepted; a singular matrix is reported
     as non-monotone with ``singular=True``.
     """
-    return _monotone_inverse(a)[0]
-
-
-def _monotone_inverse(a) -> tuple[MonotoneCheck, np.ndarray | None]:
-    """:func:`is_monotone` of ``a`` together with the inverse it tested;
-    None in place of the inverse when ``a`` is singular."""
-    try:
-        inv = inverse(a)
-    except SingularMatrix:
-        return MonotoneCheck(monotone=False, location=None, value=None, singular=True), None
-    return _monotone_check(inv), inv
+    return _analyse(a).check
 
 
 def sigma_vector(a) -> np.ndarray:
@@ -65,7 +59,7 @@ def sigma_vector(a) -> np.ndarray:
     lies outside [2^-256, 2^256), so a row sum near the largest float cannot
     overflow.
     """
-    magnitudes = np.abs(as_square_matrix(a))
+    magnitudes = np.abs(_analyse(a).m)
     scale = _window_scale(float(magnitudes.max()))
     if scale != 1.0:
         magnitudes *= scale
@@ -84,18 +78,14 @@ def strict_dominance_set(sigma) -> tuple[int, ...]:
 
 def is_z_matrix(a) -> bool:
     """All off-diagonal entries nonpositive: every positive entry is diagonal."""
-    return _is_z_pattern(as_square_matrix(a))
+    return _analyse(a).z_matrix
 
 
 def is_m_matrix(a) -> bool:
-    """Nonsingular M-matrix test: Z sign pattern plus a nonnegative inverse."""
-    return _m_matrix_rule(is_z_matrix(a), lambda: is_monotone(a))
-
-
-def _m_matrix_rule(z_matrix: bool, monotone) -> bool:
-    """The one M-matrix verdict: ``z_matrix``, the :func:`is_z_matrix` flag,
-    and ``monotone()``, a :class:`MonotoneCheck` called only after it."""
-    return z_matrix and bool(monotone())
+    """Nonsingular M-matrix test: Z sign pattern plus a nonnegative inverse,
+    the inverse taken only for a Z-matrix."""
+    record = _analyse(a)
+    return record.z_matrix and record.check.monotone
 
 
 def is_strictly_diag_dominant(a) -> bool:
@@ -105,26 +95,26 @@ def is_strictly_diag_dominant(a) -> bool:
 
 def is_irreducible(a) -> bool:
     """True when the directed sparsity graph is strongly connected."""
-    mask = _offdiag_mask(as_square_matrix(a))
-    return bool(_reach_powers(mask, np.ones_like(mask))[-1].all())
+    return bool(_analyse(a).closure[-1].all())
 
 
 def is_irreducibly_diag_dominant(a) -> bool:
     """Irreducible, all ratios at most one, at least one strictly below."""
-    m = as_square_matrix(a)
-    return _irreducible_dominance_rule(sigma_vector(m), lambda: is_irreducible(m))
+    record = _analyse(a)
+    return _irreducible_dominance_rule(sigma_vector(record), record)
 
 
-def _irreducible_dominance_rule(sigma: np.ndarray, irreducible) -> bool:
-    """Irreducible dominance from the dominance ratios ``sigma``: all at most
-    one, at least one strictly below, and ``irreducible()`` true.  That call
-    reads the sparsity graph, so it is made only when the ratios pass."""
-    return bool(np.all(sigma <= 1.0)) and bool(np.any(sigma < 1.0)) and irreducible()
+def _irreducible_dominance_rule(sigma: np.ndarray, a) -> bool:
+    """Irreducible dominance of ``a`` (a matrix or its record) from its
+    dominance ratios ``sigma``: all at most one, at least one strictly
+    below, and :func:`is_irreducible`.  That reads the sparsity graph, so it
+    is taken only when the ratios pass."""
+    return bool(np.all(sigma <= 1.0)) and bool(np.any(sigma < 1.0)) and is_irreducible(a)
 
 
 def is_quasi_doubly_stochastic(a) -> bool:
     """All row sums and column sums within :data:`DEFAULT_QDS_TOL` of one."""
-    m = as_square_matrix(a)
+    m = _analyse(a).m
     return bool(
         np.all(np.abs(m.sum(axis=1) - 1.0) <= DEFAULT_QDS_TOL)
         and np.all(np.abs(m.sum(axis=0) - 1.0) <= DEFAULT_QDS_TOL)
@@ -206,20 +196,17 @@ def classify_matrix(a) -> ClassificationReport:
 
     Raises :class:`ZeroDiagonal` when dominance ratios are undefined.
     """
-    m = as_square_matrix(a)
-    sigma = sigma_vector(m)
-    witness = is_monotone(m)
-    irreducible = is_irreducible(m)
-    z_matrix = is_z_matrix(m)
+    record = _analyse(a)
+    sigma = sigma_vector(record)
     return ClassificationReport(
-        is_z_matrix=z_matrix,
-        is_m_matrix=_m_matrix_rule(z_matrix, lambda: witness),
-        is_monotone=witness.monotone,
+        is_z_matrix=is_z_matrix(record),
+        is_m_matrix=is_m_matrix(record),
+        is_monotone=record.check.monotone,
         is_strictly_diag_dominant=bool(np.all(sigma < 1.0)),
-        is_irreducibly_diag_dominant=_irreducible_dominance_rule(sigma, lambda: irreducible),
-        is_irreducible=irreducible,
-        is_quasi_doubly_stochastic=is_quasi_doubly_stochastic(m),
+        is_irreducibly_diag_dominant=_irreducible_dominance_rule(sigma, record),
+        is_irreducible=is_irreducible(record),
+        is_quasi_doubly_stochastic=is_quasi_doubly_stochastic(record),
         sigma=sigma,
         strict_set=strict_dominance_set(sigma),
-        monotone_witness=witness,
+        monotone_witness=record.check,
     )

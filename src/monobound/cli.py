@@ -23,10 +23,10 @@ from .bounds import (
     BoundResult,
     InverseStats,
     _bouchon_bound,
-    _corollary_bound,
     _hypotheses,
     _main_bound,
     bouchon_quantities,
+    corollary_bound,
     inverse_stats,
     tridiagonal_bound,
 )
@@ -39,7 +39,6 @@ from .buffoni import (
 from .classify import (
     ClassificationReport,
     MonotoneCheck,
-    _monotone_check,
     classify_matrix,
 )
 from .errors import MatrixParseError, MonoboundError
@@ -49,6 +48,7 @@ from .laplacian import (
     block_laplacian_stats,
     build_block_laplacian,
 )
+from .linalg import _analyse
 from .matrixio import read_matrix, write_dense
 
 SCHEMA = "monobound.report/1"
@@ -118,21 +118,21 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    # One inverse and one set of hypotheses serve the statistics and every bound.
-    matrix = read_matrix(args.matrix)
-    stats = inverse_stats(matrix)
-    witness = _monotone_check(stats.inv)
-    hypotheses = _hypotheses(matrix, lambda: witness)
+    # One record of the matrix (its inverse, verdict, Z flag and closure) and
+    # one set of hypotheses serve the statistics and every bound.
+    record = _analyse(read_matrix(args.matrix))
+    stats = inverse_stats(record)
+    hypotheses = _hypotheses(record)
     results = []
-    doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats, witness)}
+    doc = {"schema": SCHEMA, "command": "bounds", "stats": _stats_dict(stats, record.check)}
     if args.which in ("main", "all"):
         results.append(_main_bound(stats, hypotheses))
     if args.which in ("corollary", "all"):
-        results.append(_corollary_bound(matrix, witness.value, hypotheses[1]))
+        results.append(corollary_bound(record))
     if args.which in ("bouchon", "all"):
-        pattern = np.ones_like(matrix) if args.pattern == "full" else read_matrix(args.pattern)
-        quantities = bouchon_quantities(matrix, pattern)
-        results.append(_bouchon_bound(matrix, pattern, quantities, hypotheses))
+        pattern = np.ones_like(record.m) if args.pattern == "full" else read_matrix(args.pattern)
+        quantities = bouchon_quantities(record, pattern)
+        results.append(_bouchon_bound(record, pattern, quantities, hypotheses))
         doc["bouchon_quantities"] = {
             "min_diag": float(quantities.min_diag),
             "eta": float(quantities.eta),

@@ -1,13 +1,22 @@
-"""Dense linear algebra: input validation, the inverse, and the package's
-one monotonicity verdict on an inverse (:func:`_monotone_check`: the
-smallest entry is at least -MONOTONE_RTOL * max|inverse|, a finite
-maximum), which sits beside :func:`inverse` because the block path's leaf
-guard is that verdict.
+"""Dense linear algebra: input validation, the inverse, the package's one
+monotonicity verdict on an inverse (:func:`_monotone_check`: the smallest
+entry is at least -MONOTONE_RTOL * max|inverse|, a finite maximum), which
+sits beside :func:`inverse` because the block path's leaf guard is that
+verdict, and the one record of an analysed matrix (:class:`_Analysis`,
+built by :func:`_analyse`).
 
-:func:`inverse` is the one inverse of the package, so every monotonicity
-verdict comes from one engine, except the threshold search's rank-one
-probes that a residual certificate decides (:func:`buffoni._certified_verdict`:
-one residual of A^-1 per search, and an O(1) bound from it per probe).  A
+The record holds a validated matrix and what every command decides about
+it, each found once, on first use: max|A|, the Z flag, the inverse or the
+:class:`SingularMatrix` that refused it, the verdict on that inverse (from
+the same max|Z| scan the singularity rule reads), and the reachability
+closure of its sparsity graph.  :func:`inverse` reads it, so the package
+has one engine and every monotonicity verdict comes from it, except the
+threshold search's rank-one probes that a residual certificate decides
+(:func:`buffoni._certified_verdict`: one residual of A^-1 per search, and
+an O(1) bound from it per probe).  The predicates, the bounds and the
+threshold searches read the same record, so a command that hands one
+record to each of them validates, Z-tests, inverts, judges and closes its
+matrix once.  A
 Z-matrix above order :data:`BLOCK_LEAF_ORDER` is inverted by recursive 2x2
 block elimination without pivoting, whose work is matrix products over the
 rows and columns of the off-diagonal blocks that hold a nonzero
@@ -16,14 +25,15 @@ fail the leaf guard, by one LAPACK call (``numpy.linalg.inv``: gesv against
 I).  Its singularity test is the package's one rule for a singular matrix:
 the inverse is refused unless ``SINGULARITY_RTOL * max|A| * max|A^-1| < 1``.
 The determinant-based bounds (:func:`bounds.sigma_via_determinant`,
-:func:`bounds.tridiagonal_bound`) apply the same rule by calling
-:func:`inverse`, and take their determinants from ``numpy.linalg.slogdet``.
+:func:`bounds.tridiagonal_bound`) apply the same rule through the record,
+and take their determinants from ``numpy.linalg.slogdet``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,8 +195,100 @@ def _block_inverse(a: np.ndarray, out: np.ndarray) -> None:
     x += np.matmul(neg_x_a12, lower[c])
 
 
+# Records compare by identity: an array has no single truth value.
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """One validated square matrix ``m`` and what the package decides about
+    it, each found at most once, on first use: ``a_max`` = max|A|, the Z
+    flag (:func:`_is_z_pattern`), the inverse with the one verdict on it, or
+    the :class:`SingularMatrix` that refused it (``inverted``), and the
+    reachability powers of its sparsity graph up to the closure
+    (``closure``, :func:`graphdist._reach_powers`).
+
+    :func:`_analyse` builds it.  :func:`inverse`, the predicates of
+    :mod:`classify`, the bounds and the threshold searches read it, and each
+    public function that takes a matrix also takes its record, so a command
+    that hands one record to all of them validates, Z-tests, inverts, judges
+    and closes the matrix once."""
+
+    m: np.ndarray
+
+    @cached_property
+    def a_max(self) -> float:
+        return float(max(self.m.max(), -self.m.min()))
+
+    @cached_property
+    def z_matrix(self) -> bool:
+        return _is_z_pattern(self.m)
+
+    @cached_property
+    def inverted(self) -> tuple[np.ndarray | SingularMatrix, MonotoneCheck]:
+        """(A^-1, :func:`_monotone_check` of it), or the
+        :class:`SingularMatrix` that refused the inverse with a singular
+        verdict; the engine and the rule are those of :func:`inverse`.  The
+        rule reads max|A^-1| from the verdict's own scan of the inverse."""
+        # inv(sA) = inv(A) / s, and a power of two s scales exactly; bringing
+        # max|A| near 1 keeps the elimination from overflowing.
+        scale = _window_scale(self.a_max)
+        scaled = self.m if scale == 1.0 else self.m * scale
+        inv = None
+        if scaled.shape[0] > BLOCK_LEAF_ORDER and self.z_matrix:
+            inv = np.empty_like(scaled)
+            try:
+                # A finite leaf near the overflow threshold can overflow a
+                # product: a later leaf then fails the guard, or the
+                # singularity rule below refuses the result.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _block_inverse(scaled, inv)
+            except np.linalg.LinAlgError:
+                inv = None
+        if inv is None:
+            try:
+                inv = np.linalg.inv(scaled)
+            except np.linalg.LinAlgError:
+                return _refused("matrix is singular: LAPACK met an exactly zero pivot")
+        if scale != 1.0:
+            with np.errstate(over="ignore"):
+                inv *= scale
+        check = _monotone_check(inv)
+        product = self.a_max * check._z_max
+        if not SINGULARITY_RTOL * product < 1.0:
+            return _refused(
+                f"matrix is numerically singular: max|A| * max|A^-1| = {product:.3e} "
+                f"is not below 1 / {SINGULARITY_RTOL:.0e}"
+            )
+        return inv, check
+
+    @property
+    def check(self) -> MonotoneCheck:
+        """The one verdict on the inverse (singular when it was refused)."""
+        return self.inverted[1]
+
+    @cached_property
+    def closure(self) -> list[np.ndarray]:
+        """The reachability powers of the sparsity graph of ``m``, up to its
+        reflexive transitive closure (:func:`graphdist._reach_powers`)."""
+        # graphdist imports this module, so it is imported on first use.
+        from .graphdist import _reach_powers
+
+        # _reach_powers joins each node to itself, whatever the diagonal.
+        return _reach_powers(self.m != 0.0)
+
+
+def _refused(message: str) -> tuple[SingularMatrix, MonotoneCheck]:
+    """:attr:`_Analysis.inverted` of a matrix whose inverse is refused."""
+    return SingularMatrix(message), MonotoneCheck(False, None, None, singular=True)
+
+
+def _analyse(a) -> _Analysis:
+    """The record of ``a``: ``a`` itself when it is one, else the record of
+    ``a`` validated by :func:`as_square_matrix`."""
+    return a if isinstance(a, _Analysis) else _Analysis(as_square_matrix(a))
+
+
 def inverse(a) -> np.ndarray:
-    """Inverse of a square matrix.
+    """Inverse of a square matrix, read from its record (:func:`_analyse`;
+    ``a`` may be the record itself).
 
     A Z-matrix (:func:`_is_z_pattern`) of order above
     :data:`BLOCK_LEAF_ORDER` is inverted by :func:`_block_inverse`, which on
@@ -211,35 +313,8 @@ def inverse(a) -> np.ndarray:
     is taken in Python floats, so a non-finite inverse fails it without a
     warning and no NaN or inf is returned.
     """
-    m = as_square_matrix(a)
-    amax = float(max(m.max(), -m.min()))
-    # inv(sA) = inv(A) / s, and a power of two s scales exactly; bringing
-    # max|A| near 1 keeps the elimination from overflowing.
-    scale = _window_scale(amax)
-    scaled = m if scale == 1.0 else m * scale
-    inv = None
-    if scaled.shape[0] > BLOCK_LEAF_ORDER and _is_z_pattern(scaled):
-        inv = np.empty_like(scaled)
-        try:
-            # A finite leaf near the overflow threshold can overflow a
-            # product: a later leaf then fails the guard, or the singularity
-            # rule below refuses the result.
-            with np.errstate(over="ignore", invalid="ignore"):
-                _block_inverse(scaled, inv)
-        except np.linalg.LinAlgError:
-            inv = None
-    if inv is None:
-        try:
-            inv = np.linalg.inv(scaled)
-        except np.linalg.LinAlgError:
-            raise SingularMatrix("matrix is singular: LAPACK met an exactly zero pivot") from None
-    if scale != 1.0:
-        with np.errstate(over="ignore"):
-            inv *= scale
-    product = amax * float(max(inv.max(), -inv.min()))
-    if not SINGULARITY_RTOL * product < 1.0:
-        raise SingularMatrix(
-            f"matrix is numerically singular: max|A| * max|A^-1| = {product:.3e} "
-            f"is not below 1 / {SINGULARITY_RTOL:.0e}"
-        )
+    inv = _analyse(a).inverted[0]
+    if isinstance(inv, SingularMatrix):
+        # A record can refuse more than once; each raise starts afresh.
+        raise inv.with_traceback(None)
     return inv

@@ -1,16 +1,20 @@
 """Agreement sweep: the ratio iteration (buffoni_vstar) and the bracketing
 oracle (bisection_vstar) must report the same threshold on a fixed, seeded
-set of pairs shaped like the soundness test's strategy, and on the fixed
-pairs that once split them.  Where they differ by more than 1e-6 of v, a
+set of pairs shaped like the soundness test's strategy, on the fixed pairs
+that once split them, and under hypothesis on reducible pairs, whose
+inverses hold structural zeros.  Where they differ by more than 1e-6 of v, a
 50-digit inverse of A + v E judges each against its own definition
 (conftest.threshold_mismatch), and the message names the search that is
 wrong."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import INFINITE_THRESHOLD_PAIRS, threshold_mismatch
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from monobound import bisection_vstar, buffoni_vstar
+from monobound import bisection_vstar, buffoni_vstar, is_irreducible
 
 PAIRS_PER_KIND = 400
 
@@ -99,30 +103,65 @@ def _ring_pair():
 FIXED_PAIRS = [pytest.param(*pair, id=name) for name, pair in INFINITE_THRESHOLD_PAIRS.items()]
 FIXED_PAIRS += [
     pytest.param(*_ring_pair(), id="ring-15x15"),
-    pytest.param(
-        *_structural_zero_pair(),
-        id="structural-zero-11x11",
-        marks=pytest.mark.xfail(
-            strict=True,
-            raises=AssertionError,
-            reason="CHANGES.md FOUND (issue 15): buffoni_vstar stops at 0.96792 on a "
-            "structurally zero entry of Z, where the threshold is about 1.0",
-        ),
-    ),
-    pytest.param(
-        *_structural_zero_pair_13(),
-        id="structural-zero-13x13",
-        marks=pytest.mark.xfail(
-            strict=True,
-            raises=AssertionError,
-            reason="buffoni_vstar reports converged at 0.62 after 6 steps on a structurally "
-            "zero entry of Z, where the bisection gives 1.0000000001",
-        ),
-    ),
+    # Without the structural mask of W, buffoni_vstar stopped at 0.96792 on
+    # the 11x11 pair and reported converged at 0.62 on the 13x13 one, where
+    # the threshold is about 1.0.
+    pytest.param(*_structural_zero_pair(), id="structural-zero-11x11"),
+    pytest.param(*_structural_zero_pair_13(), id="structural-zero-13x13"),
 ]
 
 
 @pytest.mark.parametrize("a, e", FIXED_PAIRS)
 def test_searches_agree_on_fixed_pairs(a, e):
     # INFINITE_THRESHOLD_PAIRS holds the seed-52 pair ("dominant-5x5").
+    _assert_agree(a, e)
+
+
+def _structural_zero_pair_redrawn():
+    """The 11x11 pair's pattern with other values, on which buffoni_vstar
+    without the structural mask stopped at 0.49321 where v* is 0.5."""
+    a = np.diag([0.21200000000000002, 0.01, 0.01, 0.717, 2.892678385539816, 0.01, 0.01,
+                 0.6109932358788993, 0.01, 2.5349999999999997, 0.01])
+    for (i, j), x in {(1, 5): -0.2, (4, 6): -0.5, (4, 7): -0.2, (5, 4): -1.0,
+                      (10, 1): -0.5, (10, 2): -1.0, (10, 6): -1.0}.items():
+        a[i - 1, j - 1] = x
+    e = np.zeros_like(a)
+    for (i, j), x in {(1, 1): 0.5, (4, 6): 1.0, (10, 2): 2.0, (10, 6): 2.0}.items():
+        e[i - 1, j - 1] = x
+    return a, e
+
+
+def _entries(n, values):
+    return hnp.arrays(np.float64, (n, n), elements=st.sampled_from(values))
+
+
+@st.composite
+def reducible_pairs(draw):
+    """(A, E) shaped like the soundness test's pairs, but with at least one
+    sink: a node with no off-diagonal entry in its row and a diagonal of
+    0.01, which rows that feed it may outweigh in its column (so LAPACK
+    pivots).  A is then a reducible M-matrix, and its inverse is zero off
+    the diagonal in each sink's row.  E is sparse and nonnegative, never
+    zero."""
+    n = draw(st.integers(3, 15))
+    off = draw(_entries(n, [0.0, 0.0, 0.0, 0.2, 0.5, 1.0]))
+    sinks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    off[sinks] = 0.0
+    np.fill_diagonal(off, 0.0)
+    margin = draw(hnp.arrays(np.float64, n, elements=st.floats(0.01, 1.0)))
+    margin[sinks] = 0.01
+    a = -off
+    np.fill_diagonal(a, off.sum(axis=1) * (1.0 + margin) + margin)
+    e = draw(_entries(n, [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 2.0]))
+    if not e.any():
+        e[0, n - 1] = 1.0
+    return a, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(reducible_pairs())
+@example(_structural_zero_pair_redrawn())
+def test_searches_agree_on_reducible_pairs(pair):
+    a, e = pair
+    assert not is_irreducible(a)
     _assert_agree(a, e)

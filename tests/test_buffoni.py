@@ -707,7 +707,7 @@ def test_threshold_search_working_set(stage, budget, monkeypatch):
     n = WORKING_SET_N
     a, e, pair, vstar = _rank_one_sample(n, 101)
     if stage not in ("validated pair", "unseeded search"):
-        monkeypatch.setattr(buffoni, "_monotone_inverse", lambda *args: pytest.fail("inverted"))
+        monkeypatch.setattr(buffoni, "_analyse", lambda *args: pytest.fail("inverted"))
     residual = buffoni._search_residual(pair)
     t, abs_tol = _unit_scale(float(e.max())), buffoni.BISECT_ABS_TOL
     run = {
@@ -766,7 +766,8 @@ def _candidate_probes():
     singularity rule), and a non-finite candidate where 1 + v s = 0."""
     cases = []
     for n, seed in ((3, 1), (8, 2), (30, 3), (60, 4)):
-        _, _, (m, pert, z, *_, (_, _, p, q, s, _)), vstar = _rank_one_sample(n, seed)
+        _, _, (base, pert, z, *_, (_, _, p, q, s, _)), vstar = _rank_one_sample(n, seed)
+        m = base.m
         for k in (1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-6, 1 - 1e-6):
             v = vstar * k
             cases.append((m + v * pert, z - np.outer(p * v / (1.0 + v * s), q)))

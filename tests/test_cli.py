@@ -82,14 +82,16 @@ def test_bounds_all(capsys, sample_file):
     assert report["bouchon_quantities"]["distance_max"] == 2
 
 
-def _count_calls(monkeypatch, module, name):
+def _count_calls(monkeypatch, module, name, when=lambda *args: True):
     """Wrap ``module.name`` at every monobound module that binds it; return
-    the list that collects one entry per call."""
+    the list that collects one entry per call whose arguments pass
+    ``when``."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        if when(*args):
+            calls.append(name)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -98,6 +100,14 @@ def _count_calls(monkeypatch, module, name):
         ) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def _count_records(monkeypatch):
+    """Count the matrix records that linalg._analyse builds, one per
+    matrix inverted (a call on a record returns it and builds none)."""
+    return _count_calls(
+        monkeypatch, linalg, "_analyse", when=lambda a: not isinstance(a, linalg._Analysis)
+    )
 
 
 # `bounds` report of SAMPLE_A (dense file above, full pattern).
@@ -158,7 +168,7 @@ def _assert_same_report(got, want):
 
 
 def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
-    factorizations = _count_calls(monkeypatch, linalg, "inverse")
+    factorizations = _count_records(monkeypatch)
     distance_scans = _count_calls(monkeypatch, graphdist, "bouchon_M")
     report = run_json(capsys, ["bounds", sample_file, "--which", "all"])
     assert len(factorizations) == 1
@@ -169,42 +179,91 @@ def test_bounds_all_factors_once(capsys, monkeypatch, sample_file):
 @pytest.mark.parametrize(
     "which, counts",
     [
-        # Bouchon's rule reads irreducibility: one closure there and one in
-        # bouchon_M, which works on the pattern's support.
-        ("all", {"inverse": 1, "sigma_vector": 1, "is_z_matrix": 1, "_reach_powers": 2}),
-        ("main", {"inverse": 1, "sigma_vector": 1, "_reach_powers": 0, "is_irreducible": 0}),
-        ("corollary", {"inverse": 1, "is_z_matrix": 1, "_reach_powers": 0, "is_irreducible": 0}),
+        # Bouchon's rule reads irreducibility and bouchon_M the distances,
+        # both from the one closure of the matrix's record.
+        ("all", {"_analyse": 1, "sigma_vector": 1, "_is_z_pattern": 1, "_reach_powers": 1}),
+        ("main", {"_analyse": 1, "sigma_vector": 1, "_reach_powers": 0, "is_irreducible": 0}),
+        ("corollary", {"_analyse": 1, "_is_z_pattern": 1, "_reach_powers": 0, "is_irreducible": 0}),
     ],
 )
 def test_bounds_decides_each_hypothesis_once(capsys, monkeypatch, sample_file, which, counts):
     calls = {
         name: _count_calls(monkeypatch, module, name)
         for module, name in [
-            (linalg, "inverse"),
             (classify, "sigma_vector"),
-            (classify, "is_z_matrix"),
+            (linalg, "_is_z_pattern"),
             (classify, "is_irreducible"),
             (graphdist, "_reach_powers"),
         ]
     }
+    calls["_analyse"] = _count_records(monkeypatch)
     run_json(capsys, ["bounds", sample_file, "--which", which])
     assert {name: len(calls[name]) for name in counts} == counts
 
 
 def test_classify_tests_the_z_pattern_once(capsys, monkeypatch, sample_file):
-    calls = {
-        name: _count_calls(monkeypatch, module, name)
-        for module, name in [(linalg, "inverse"), (classify, "is_z_matrix")]
-    }
+    calls = {"_analyse": _count_records(monkeypatch)}
+    calls["_is_z_pattern"] = _count_calls(monkeypatch, linalg, "_is_z_pattern")
     report = run_json(capsys, ["classify", sample_file])
-    assert {name: len(calls[name]) for name in calls} == {"inverse": 1, "is_z_matrix": 1}
+    assert {name: len(calls[name]) for name in calls} == {"_analyse": 1, "_is_z_pattern": 1}
     assert report["classification"]["is_z_matrix"] and report["classification"]["is_m_matrix"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "classify", "vstar"])
+def test_each_command_analyses_its_matrix_once(capsys, monkeypatch, tmp_path, command):
+    # A Z-matrix of order 70 takes the block path, which Z-tests its input.
+    # One record of A serves every statistic, predicate and bound: A is
+    # validated, Z-tested, inverted and scanned for max|Z| (beyond the
+    # leaves' guards) once, and its graph is closed once where a command
+    # reads it.  vstar's record is that of the unit-scaled copy of A, and
+    # its rank-one probes are decided without inverting.
+    n = 70
+    a = random_sdd_m_matrix(np.random.default_rng(70), n)
+    a_path, ones = tmp_path / "a.txt", tmp_path / "ones.txt"
+    a_path.write_text(format_dense(a))
+    ones.write_text(format_dense(np.ones((n, n))))
+    argv = {
+        "bounds": ["bounds", str(a_path), "--which", "all"],
+        "classify": ["classify", str(a_path)],
+        "vstar": ["vstar", str(a_path), str(ones), "--method", "both"],
+    }[command]
+    calls = {
+        "validations of A": _count_calls(
+            monkeypatch, linalg, "as_square_matrix", when=lambda m: np.array_equal(m, a)
+        ),
+        "records": _count_records(monkeypatch),
+        "Z tests": _count_calls(monkeypatch, linalg, "_is_z_pattern"),
+        "inverses": _count_calls(
+            monkeypatch, linalg, "_block_inverse", when=lambda m, out: m.shape[0] == n
+        ),
+        "closures": _count_calls(monkeypatch, graphdist, "_reach_powers"),
+    }
+    # Only the verdicts taken in linalg: the leaf guards and each record's.
+    scans, verdict = [], linalg._monotone_check
+
+    def scanned(z):
+        scans.append(z.shape[0] == n)
+        return verdict(z)
+
+    monkeypatch.setattr(linalg, "_monotone_check", scanned)
+    run_json(capsys, argv)
+    counts = {name: len(found) for name, found in calls.items()}
+    counts["max|Z| scans"] = sum(scans)
+    closures = {"bounds": 1, "classify": 1, "vstar": 0}[command]
+    assert counts == {
+        "validations of A": 1,
+        "records": 1,
+        "Z tests": 1,
+        "inverses": 1,
+        "closures": closures,
+        "max|Z| scans": 1,
+    }
 
 
 def test_vstar_buffoni_factors_once_per_iteration(capsys, monkeypatch, sample_file, tmp_path):
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
-    factorizations = _count_calls(monkeypatch, linalg, "inverse")
+    factorizations = _count_records(monkeypatch)
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "buffoni"])
     assert len(factorizations) == report["vstar"]["buffoni"]["iterations"]
 
@@ -216,7 +275,7 @@ def test_vstar_both_inverts_once_for_a_rank_one_pair(capsys, monkeypatch, sample
     # inverse of A is the only one.
     pert = tmp_path / "ones.txt"
     pert.write_text(format_dense(np.ones((3, 3))))
-    factorizations = _count_calls(monkeypatch, linalg, "inverse")
+    factorizations = _count_records(monkeypatch)
     probes = _count_calls(monkeypatch, buffoni, "_checked_inverse")
     report = run_json(capsys, ["vstar", sample_file, str(pert), "--method", "both"])
     iterations = report["vstar"]["buffoni"]["iterations"]
@@ -263,7 +322,7 @@ def test_vstar_probes_invert_when_the_certificate_declines(
         certified = run(capsys, argv)
         with monkeypatch.context() as patch:
             patch.setattr(buffoni, "_certified_verdict", lambda *args: None)
-            factorizations = _count_calls(patch, linalg, "inverse")
+            factorizations = _count_records(patch)
             probes = _count_calls(patch, buffoni, "_checked_inverse")
             inverted = run(capsys, argv)
         assert len(probes) >= 2

@@ -161,20 +161,20 @@ def _certified_verdicts():
     """Collect (probe matrix, verdict) for every probe of the threshold
     search that takes no inverse, so that a residual certificate decided."""
     decided, inverted = [], []
-    checked_inverse, monotone_inverse = buffoni._checked_inverse, buffoni._monotone_inverse
+    checked_inverse, analyse = buffoni._checked_inverse, buffoni._analyse
 
     def counted(*args):
         inverted.append(args)
-        return monotone_inverse(*args)
+        return analyse(*args)
 
     def recorded(pair, v, residual):
         before = len(inverted)
         verdict, inv = checked_inverse(pair, v, residual)
         if len(inverted) == before:
-            decided.append((buffoni._perturbed(pair.m, pair.pert, v), verdict))
+            decided.append((buffoni._perturbed(pair.base.m, pair.pert, v), verdict))
         return verdict, inv
 
-    with mock.patch.object(buffoni, "_monotone_inverse", counted), mock.patch.object(
+    with mock.patch.object(buffoni, "_analyse", counted), mock.patch.object(
         buffoni, "_checked_inverse", recorded
     ):
         yield decided
@@ -252,7 +252,7 @@ def test_probe_residual_bounds_the_exact_residual(pair, k_a, k_e, wrong, error):
     residual = buffoni._search_residual(pair)
     for k in NEAR_THRESHOLD:
         v = vstar * k
-        probe = buffoni._perturbed(pair.m, pair.pert, v)
+        probe = buffoni._perturbed(pair.base.m, pair.pert, v)
         rho = buffoni._probe_residual(residual, v).rho
         assert _mp_residual_norm(probe, buffoni._candidate(pair, v)) <= rho
     with _certified_verdicts() as decided:

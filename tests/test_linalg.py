@@ -8,7 +8,10 @@ compared with, beside the 50-digit mpmath oracle of
 elimination with every product over whole blocks, the reference for the
 block path's products over the nonzero spans.  ``_leaf_guard_rule`` and
 ``_classify_rule`` are the two monotonicity rules that
-``linalg._monotone_check`` replaced, kept as references for it."""
+``linalg._monotone_check`` replaced, kept as references for it, and
+``_parent_inverse`` is ``inverse`` before it read the matrix record
+(``linalg._analyse``), kept as the reference for the record's inverse,
+verdict and refusal."""
 
 import math
 import warnings
@@ -189,6 +192,87 @@ def test_monotone_check_agrees_with_the_two_rules_it_replaced(z):
         assert not check.monotone
     else:
         assert check.monotone == monotone
+
+
+def _parent_inverse(a):
+    """Reference: ``linalg.inverse`` before the matrix record, with its own
+    max|A| and max|A^-1| passes and the block path gated on the Z pattern
+    of the scaled copy; the verdict was then ``linalg._monotone_check`` of
+    its result, a second scan."""
+    m = linalg.as_square_matrix(a)
+    amax = float(max(m.max(), -m.min()))
+    scale = linalg._window_scale(amax)
+    scaled = m if scale == 1.0 else m * scale
+    inv = None
+    if scaled.shape[0] > linalg.BLOCK_LEAF_ORDER and linalg._is_z_pattern(scaled):
+        inv = np.empty_like(scaled)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                linalg._block_inverse(scaled, inv)
+        except np.linalg.LinAlgError:
+            inv = None
+    if inv is None:
+        try:
+            inv = np.linalg.inv(scaled)
+        except np.linalg.LinAlgError:
+            raise SingularMatrix("matrix is singular: LAPACK met an exactly zero pivot") from None
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            inv *= scale
+    product = amax * float(max(inv.max(), -inv.min()))
+    if not linalg.SINGULARITY_RTOL * product < 1.0:
+        raise SingularMatrix(
+            f"matrix is numerically singular: max|A| * max|A^-1| = {product:.3e} "
+            f"is not below 1 / {linalg.SINGULARITY_RTOL:.0e}"
+        )
+    return inv
+
+
+#: Matrix families for the record: M-matrices (the block path above order
+#: 64), reducible ones (structural zeros in the inverse), Z-matrices that
+#: are not M-matrices (the block path falls back to LAPACK), mixed signs,
+#: and singular ones (the ring Laplacian, rank one).
+RECORD_KINDS = {
+    "m-matrix": random_sdd_m_matrix,
+    "reducible": lambda rng, n: np.triu(random_sdd_m_matrix(rng, n)),
+    "z, not m": lambda rng, n: (n - 0.5) * np.eye(n) - np.ones((n, n)),
+    "mixed signs": random_well_conditioned,
+    "ring": lambda rng, n: _ring_laplacian(n),
+    "rank one": lambda rng, n: np.outer(rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n)),
+}
+
+
+@st.composite
+def record_inputs(draw):
+    """A matrix of one of RECORD_KINDS, of order 1 to 130, scaled by 1 or
+    by 2^+-300 (outside the inverse's window)."""
+    kind = draw(st.sampled_from(sorted(RECORD_KINDS)))
+    n = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return RECORD_KINDS[kind](rng, n) * 2.0 ** draw(st.sampled_from([0, 300, -300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_inputs())
+def test_record_matches_the_parent_inverse_and_verdict(a):
+    record = linalg._analyse(a)
+    with mock.patch.object(linalg, "_is_z_pattern", wraps=linalg._is_z_pattern) as z_tests:
+        got, check = record.inverted
+    # Only the block path's gate Z-tests, as before the record.
+    assert z_tests.call_count == (a.shape[0] > linalg.BLOCK_LEAF_ORDER)
+    try:
+        want = _parent_inverse(a)
+    except SingularMatrix as exc:
+        assert isinstance(got, SingularMatrix) and str(got) == str(exc)
+        assert check == linalg.MonotoneCheck(False, None, None, singular=True)
+        with pytest.raises(SingularMatrix) as raised:
+            inverse(a)
+        assert str(raised.value) == str(exc)
+        return
+    assert got.tobytes() == want.tobytes()
+    parent = linalg._monotone_check(want)
+    assert check == parent and check._z_max == parent._z_max
+    assert inverse(a).tobytes() == want.tobytes()
 
 
 def test_is_monotone_reports_singular():
